@@ -22,12 +22,14 @@ from .graphs import (
     contains_clique,
     degree_profile,
     emit_graph6,
+    multigraph_from_json,
     parse_graph6,
 )
 from .covers import (
     Cover,
     PartialColoring,
     count_covers,
+    cover_choices,
     cover_from_json,
     cover_from_json_text,
     cover_from_lists,
@@ -46,8 +48,10 @@ from .solver import (
     certificate_is_valid,
     chi_dp,
     color_degree_cover,
+    cover_colorings,
     find_coloring,
     find_enhancing_extension,
+    first_critical_cover,
     is_colorable,
     is_critical,
     is_enhanced,

@@ -12,12 +12,12 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import islice
 
 from .covers import (
     cover_from_json_text,
     cover_to_json_text,
     coloring_to_json_text,
-    count_covers,
     enumerate_covers,
 )
 from .construct import (
@@ -27,7 +27,7 @@ from .construct import (
     make_multigraph_counterexample,
     make_wheel,
 )
-from .graphs import MultiGraph, emit_graph6, parse_graph6
+from .graphs import MultiGraph, emit_graph6, multigraph_from_json, parse_graph6
 from .harness import (
     SweepConfig,
     emit_report,
@@ -86,8 +86,7 @@ def _cmd_recognize(args) -> int:
         if args.k is None:
             raise ValueError("recognize brick requires --k")
         if args.multigraph:
-            data = json.loads(args.multigraph)
-            g = MultiGraph(data["n"], [tuple(e) for e in data["edges"]])
+            g = multigraph_from_json(json.loads(args.multigraph))
         elif args.graph:
             simple = parse_graph6(args.graph)
             g = MultiGraph(simple.n, [(u, v, 1) for u, v in simple.edges()])
@@ -117,15 +116,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate_covers(args) -> int:
-    g = parse_graph6(args.graph)
-    total = count_covers(g, args.k, args.regime)
-    limit = args.limit if args.limit is not None else total
-    emitted = 0
-    for cover in enumerate_covers(g, args.k, args.regime):
-        if emitted >= limit:
-            break
+    covers = enumerate_covers(parse_graph6(args.graph), args.k, args.regime)
+    limit = None if args.limit is None else max(args.limit, 0)
+    for cover in islice(covers, limit):
         print(cover_to_json_text(cover))
-        emitted += 1
     return 0
 
 

@@ -18,6 +18,11 @@ graph in one of two regimes:
 * ``"partial"``: every edge independently ranges over all partial
   injections of [k], with no relabeling reduction, giving P(k)^m covers
   where P(k) = sum_r C(k,r)^2 r!.
+
+For search, a cover is compiled to conflict tables: ``conf[u][v][i]`` is
+the bitmask of the colors of v matched to color i of u, the union over
+parallel edges.  Bit j stands for color j; pairs naming a color outside
+an endpoint's list are left out, as no coloring can pick that color.
 """
 
 from __future__ import annotations
@@ -27,11 +32,42 @@ import math
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .graphs import MultiGraph, SimpleGraph, emit_graph6, parse_graph6
+from .graphs import (
+    MultiGraph,
+    SimpleGraph,
+    emit_graph6,
+    multigraph_from_json,
+    parse_graph6,
+)
 
 BaseGraph = Union[SimpleGraph, MultiGraph]
 
 Matching = tuple[tuple[int, int], ...]
+
+# per edge of a graph, the matchings it ranges over in cover enumeration
+EdgeChoices = tuple[tuple[tuple[int, int], tuple[Matching, ...]], ...]
+
+# conf[u][v][i]: bitmask of the colors of v matched to color i of u
+ConflictTables = list[dict[int, list[int]]]
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def conflict_rows(
+    slots: Iterable[Matching], size_u: int, size_v: int
+) -> tuple[list[int], list[int]]:
+    """Rows of conf[u][v] and conf[v][u] for the union of the given matchings."""
+    fwd = [0] * size_u
+    bwd = [0] * size_v
+    for slot in slots:
+        for i, j in slot:
+            if 0 <= i < size_u and 0 <= j < size_v:
+                fwd[i] |= 1 << j
+                bwd[j] |= 1 << i
+    return fwd, bwd
 
 
 def _normalize_matching(pairs: Iterable[Sequence[int]], where: str) -> Matching:
@@ -55,7 +91,7 @@ class Cover:
     may only sit over actual edges.
     """
 
-    __slots__ = ("base", "list_size", "_slots", "_maps")
+    __slots__ = ("base", "list_size", "_slots", "_conf")
 
     def __init__(
         self,
@@ -103,7 +139,7 @@ class Cover:
                     pairs = tuple(sorted((j, i) for i, j in pairs))
                 slots[e] = (pairs,)
         self._slots = slots
-        self._maps: dict[tuple[int, int], dict[int, tuple[int, ...]]] | None = None
+        self._conf: ConflictTables | None = None
 
     @property
     def n(self) -> int:
@@ -138,24 +174,29 @@ class Cover:
         """Union of the pair's matchings as (color of u, color of v) pairs."""
         return frozenset(p for slot in self.slot_matchings(u, v) for p in slot)
 
-    def _oriented_maps(self) -> dict[tuple[int, int], dict[int, tuple[int, ...]]]:
-        if self._maps is None:
-            maps: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
-            for u, v in self._slots:
-                fwd: dict[int, set[int]] = {}
-                bwd: dict[int, set[int]] = {}
-                for slot in self._slots[(u, v)]:
-                    for i, j in slot:
-                        fwd.setdefault(i, set()).add(j)
-                        bwd.setdefault(j, set()).add(i)
-                maps[(u, v)] = {i: tuple(sorted(js)) for i, js in fwd.items()}
-                maps[(v, u)] = {j: tuple(sorted(is_)) for j, is_ in bwd.items()}
-            self._maps = maps
-        return self._maps
+    def conflict_tables(self) -> ConflictTables:
+        """The compiled form the solver searches: conf[u][v][i] as bitmasks.
+
+        Built on first use and shared; callers must not modify it.
+        """
+        if self._conf is None:
+            conf: ConflictTables = [{} for _ in range(self.n)]
+            for (u, v), slots in self._slots.items():
+                conf[u][v], conf[v][u] = conflict_rows(slots, self.size(u), self.size(v))
+            self._conf = conf
+        return self._conf
+
+    def matched_mask(self, u: int, v: int, i: int) -> int:
+        """Bitmask of the colors of v joined to color i of u (0 if none)."""
+        if 0 <= u < self.n:
+            row = self.conflict_tables()[u].get(v)
+            if row is not None and 0 <= i < len(row):
+                return row[i]
+        return 0
 
     def matched_colors(self, u: int, v: int, i: int) -> tuple[int, ...]:
         """Colors of v joined to color i of u (empty if none)."""
-        return self._oriented_maps().get((u, v), {}).get(i, ())
+        return _bits(self.matched_mask(u, v, i))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cover):
@@ -176,31 +217,29 @@ class Cover:
 class PartialColoring:
     """Immutable map from covered vertices to picked color indices."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "_picks")
 
     def __init__(self, picks: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
         if isinstance(picks, Mapping):
             pairs = sorted(picks.items())
         else:
             pairs = sorted(tuple(p) for p in picks)
-        seen = set()
+        lookup: dict[int, int] = {}
         for v, i in pairs:
-            if v in seen:
+            if v in lookup:
                 raise ValueError(f"vertex {v} picked twice")
             if v < 0 or i < 0:
                 raise ValueError(f"invalid pick ({v}, {i})")
-            seen.add(v)
+            lookup[v] = i
         self.items: tuple[tuple[int, int], ...] = tuple(pairs)
+        self._picks = lookup
 
     @property
     def dom(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.items)
+        return frozenset(self._picks)
 
     def get(self, u: int) -> int | None:
-        for v, i in self.items:
-            if v == u:
-                return i
-        return None
+        return self._picks.get(u)
 
     def pick(self, u: int) -> int:
         i = self.get(u)
@@ -209,14 +248,14 @@ class PartialColoring:
         return i
 
     def __contains__(self, u: int) -> bool:
-        return self.get(u) is not None
+        return u in self._picks
 
     def __len__(self) -> int:
         return len(self.items)
 
     @property
     def picks(self) -> dict[int, int]:
-        return dict(self.items)
+        return dict(self._picks)
 
     def extended(self, picks: Mapping[int, int]) -> "PartialColoring":
         merged = self.picks
@@ -299,11 +338,10 @@ def residual_list(c: Cover, p: PartialColoring, u: int) -> tuple[int, ...]:
     """Colors of u not joined to any pick of p.  u must be uncovered."""
     if u in p:
         raise ValueError(f"vertex {u} is already colored")
-    alive = set(range(c.size(u)))
+    alive = (1 << c.size(u)) - 1
     for w, j in p.items:
-        for i in c.matched_colors(w, u, j):
-            alive.discard(i)
-    return tuple(sorted(alive))
+        alive &= ~c.matched_mask(w, u, j)
+    return _bits(alive)
 
 
 def is_independent(c: Cover, p: PartialColoring) -> bool:
@@ -313,7 +351,7 @@ def is_independent(c: Cover, p: PartialColoring) -> bool:
             raise ValueError(f"pick ({v}, {i}) out of range")
     for idx, (v, i) in enumerate(p.items):
         for w, j in p.items[idx + 1 :]:
-            if j in c.matched_colors(v, w, i):
+            if c.matched_mask(v, w, i) >> j & 1:
                 return False
     return True
 
@@ -353,13 +391,13 @@ def count_covers(g: SimpleGraph, k: int, regime: str) -> int:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def enumerate_covers(g: SimpleGraph, k: int, regime: str) -> Iterator[Cover]:
-    """Yield every k-fold cover of a connected graph, deterministically.
+def cover_choices(g: SimpleGraph, k: int, regime: str) -> EdgeChoices:
+    """The matchings each edge of g ranges over, in g.edges() order.
 
-    Perfect regime: matchings are full bijections; a spanning tree is
-    pinned to the identity so each cover appears once per relabeling
-    orbit.  Partial regime: every edge ranges over all partial
-    injections, with no reduction.
+    Perfect regime: the identity alone on the edges of a fixed spanning
+    tree, every permutation of [k] elsewhere.  Partial regime: every
+    partial injection of [k] on every edge.  The covers are the product
+    of these choices, the last edge varying fastest.
     """
     if regime not in ("perfect", "partial"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -367,26 +405,31 @@ def enumerate_covers(g: SimpleGraph, k: int, regime: str) -> Iterator[Cover]:
         raise ValueError(f"k must be at least 1, got {k}")
     if not g.is_connected():
         raise ValueError("cover enumeration requires a connected graph")
-    sizes = [k] * g.n
-
-    if regime == "perfect":
-        tree = _spanning_tree_edges(g)
-        nontree = [e for e in g.edges() if e not in tree]
-        identity: Matching = tuple((i, i) for i in range(k))
-        perms = [
-            tuple(sorted((i, pi) for i, pi in enumerate(perm)))
-            for perm in permutations(range(k))
-        ]
-        fixed = {e: identity for e in tree}
-        for combo in product(perms, repeat=len(nontree)):
-            matchings = dict(fixed)
-            matchings.update(zip(nontree, combo))
-            yield Cover(g, sizes, matchings)
-    else:
+    if regime == "partial":
         injections = partial_injections(k)
-        edges = g.edges()
-        for combo in product(injections, repeat=len(edges)):
-            yield Cover(g, sizes, dict(zip(edges, combo)))
+        return tuple((e, injections) for e in g.edges())
+    tree = _spanning_tree_edges(g)
+    identity: Matching = tuple((i, i) for i in range(k))
+    perms = tuple(tuple(enumerate(perm)) for perm in permutations(range(k)))
+    return tuple((e, (identity,) if e in tree else perms) for e in g.edges())
+
+
+def enumerate_covers(g: SimpleGraph, k: int, regime: str) -> Iterator[Cover]:
+    """Yield every k-fold cover of a connected graph, deterministically.
+
+    Perfect regime: matchings are full bijections; a spanning tree is
+    pinned to the identity so each cover appears once per relabeling
+    orbit.  Partial regime: every edge ranges over all partial
+    injections, with no reduction.  Bad arguments raise on the call,
+    before the first cover.
+    """
+    choices = cover_choices(g, k, regime)
+    edges = [e for e, _ in choices]
+    sizes = [k] * g.n
+    return (
+        Cover(g, sizes, dict(zip(edges, combo)))
+        for combo in product(*(options for _, options in choices))
+    )
 
 
 def relabel_colors(c: Cover, perms: Sequence[Sequence[int]]) -> Cover:
@@ -436,12 +479,18 @@ def cover_to_json(c: Cover) -> dict:
 
 
 def cover_from_json(data: Mapping) -> Cover:
-    """Rebuild a cover from its plain-dict form, validating shape."""
+    """Rebuild a cover from its plain-dict form, validating shape.
+
+    Every malformed document raises ValueError.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError("cover JSON must be an object")
     if "graph6" in data:
+        if not isinstance(data["graph6"], str):
+            raise ValueError(f"graph6 entry must be a string, got {data['graph6']!r}")
         base: BaseGraph = parse_graph6(data["graph6"])
     elif "multigraph" in data:
-        mg = data["multigraph"]
-        base = MultiGraph(mg["n"], [tuple(e) for e in mg["edges"]])
+        base = multigraph_from_json(data["multigraph"])
     else:
         raise ValueError("cover JSON needs a 'graph6' or 'multigraph' entry")
     if "k" in data:
@@ -450,9 +499,14 @@ def cover_from_json(data: Mapping) -> Cover:
             raise ValueError(f"invalid k: {k!r}")
         sizes = [k] * base.n
     elif "list_sizes" in data:
-        sizes = [int(s) for s in data["list_sizes"]]
+        sizes = data["list_sizes"]
+        if not isinstance(sizes, list) or not all(isinstance(s, int) for s in sizes):
+            raise ValueError(f"list_sizes must be a list of ints, got {sizes!r}")
     else:
         raise ValueError("cover JSON needs a 'k' or 'list_sizes' entry")
+    given = data.get("matchings", {})
+    if not isinstance(given, Mapping):
+        raise ValueError(f"matchings must be an object, got {given!r}")
 
     mult = (
         {(u, v): t for u, v, t in base.pairs()}
@@ -460,7 +514,9 @@ def cover_from_json(data: Mapping) -> Cover:
         else {e: 1 for e in base.edges()}
     )
     per_edge: dict[tuple[int, int], dict[int, Matching]] = {}
-    for key, pairs in data.get("matchings", {}).items():
+    for key, pairs in given.items():
+        if not isinstance(key, str):
+            raise ValueError(f"malformed matching key {key!r}")
         head, _, slot_txt = key.partition("#")
         try:
             u_txt, v_txt = head.split("-")
@@ -477,7 +533,11 @@ def cover_from_json(data: Mapping) -> Cover:
         entry = per_edge.setdefault((u, v), {})
         if slot in entry:
             raise ValueError(f"matching key {key!r}: slot given twice")
-        entry[slot] = tuple(tuple(p) for p in pairs)
+        try:
+            # Cover rejects any entry that is not a pair of ints
+            entry[slot] = tuple(tuple(p) for p in pairs)
+        except TypeError:
+            raise ValueError(f"matching {key!r} must be a list of [i, j] int pairs") from None
 
     if isinstance(base, MultiGraph):
         matchings: dict[tuple[int, int], object] = {

@@ -12,7 +12,7 @@ by 63.  Parse failures raise :class:`Graph6Error` naming the byte offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 
 class Graph6Error(ValueError):
@@ -191,6 +191,28 @@ class MultiGraph:
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
+
+
+def multigraph_from_json(data: object) -> MultiGraph:
+    """Build a multigraph from ``{"n": n, "edges": [[u, v, mult], ...]}``.
+
+    Any other shape raises ValueError, as do the MultiGraph checks.
+    """
+    edges = data.get("edges") if isinstance(data, Mapping) else None
+    if (
+        not isinstance(data, Mapping)
+        or not isinstance(data.get("n"), int)
+        or not isinstance(edges, (list, tuple))
+        or not all(
+            isinstance(e, (list, tuple)) and len(e) == 3 and all(isinstance(x, int) for x in e)
+            for e in edges
+        )
+    ):
+        raise ValueError(
+            'multigraph JSON must be {"n": int, "edges": [[u, v, mult], ...]} '
+            f"with int entries, got {data!r}"
+        )
+    return MultiGraph(data["n"], [tuple(e) for e in edges])
 
 
 def parse_graph6(text: str) -> SimpleGraph:

@@ -19,19 +19,11 @@ import csv
 import io
 import json
 import logging
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .covers import (
-    Cover,
-    cover_from_json_text,
-    cover_to_json_text,
-    enumerate_covers,
-    validate_cover,
-)
+from .covers import Cover, cover_from_json_text, cover_to_json_text, validate_cover
 from .graphs import (
     Graph6Error,
     MultiGraph,
@@ -41,7 +33,7 @@ from .graphs import (
     parse_graph6,
 )
 from .recognize import is_gdp_forest, recognize_dirac
-from .solver import is_colorable, is_critical
+from .solver import first_critical_cover, is_critical
 
 logger = logging.getLogger(__name__)
 
@@ -134,29 +126,23 @@ def candidate_filter(g: SimpleGraph, k: int, include_dirac: bool = False) -> Opt
     return None
 
 
-def _sweep_one(args: tuple[str, int, str]) -> DiracReportRow:
-    g6, k, regime = args
+def _sweep_one(args: tuple[str, int, str, bool]) -> DiracReportRow:
+    # accepted candidates carry no clique on k+1 vertices; whether one is
+    # a k-Dirac graph was decided by the caller
+    g6, k, regime, is_dirac = args
     g = parse_graph6(g6)
     t0 = time.perf_counter()
-    examined = 0
-    witness = ""
-    found = False
-    for cover in enumerate_covers(g, k, regime):
-        examined += 1
-        if is_critical(cover):
-            witness = cover_to_json_text(cover)
-            found = True
-            break
+    examined, witness = first_critical_cover(g, k, regime)
     return DiracReportRow(
         graph6=g6,
         n=g.n,
         m=g.m,
         deficit=2 * g.m - (k * g.n + k - 2),
-        has_big_clique=contains_clique(g, k + 1),
-        is_dirac=recognize_dirac(g, k) is not None,
+        has_big_clique=False,
+        is_dirac=is_dirac,
         regime=regime,
-        critical_cover_found=found,
-        witness_cover=witness,
+        critical_cover_found=witness is not None,
+        witness_cover="" if witness is None else cover_to_json_text(witness),
         covers_examined=examined,
         seconds=time.perf_counter() - t0,
     )
@@ -171,7 +157,7 @@ def verify_dirac_bound(cfg: SweepConfig, lines: Iterable[str]) -> list[DiracRepo
     this function returns.
     """
     max_n = cfg.resolved_max_n()
-    accepted: list[str] = []
+    work: list[tuple[str, int, str, bool]] = []
     rejected: dict[str, int] = {}
     total = 0
     for lineno, raw in enumerate(lines, 1):
@@ -189,7 +175,8 @@ def verify_dirac_bound(cfg: SweepConfig, lines: Iterable[str]) -> list[DiracRepo
             )
         reason = candidate_filter(g, cfg.k, include_dirac=cfg.include_dirac)
         if reason is None:
-            accepted.append(emit_graph6(g))
+            is_dirac = cfg.include_dirac and recognize_dirac(g, cfg.k) is not None
+            work.append((emit_graph6(g), cfg.k, cfg.regime, is_dirac))
         else:
             rejected[reason] = rejected.get(reason, 0) + 1
 
@@ -198,12 +185,15 @@ def verify_dirac_bound(cfg: SweepConfig, lines: Iterable[str]) -> list[DiracRepo
         cfg.k,
         cfg.regime,
         total,
-        len(accepted),
+        len(work),
         dict(sorted(rejected.items())) or "none",
     )
 
-    work = [(g6, cfg.k, cfg.regime) for g6 in accepted]
     if cfg.parallelism > 1 and len(work) > 1:
+        # loaded only here: the process pool machinery adds about 2.5 MB and
+        # 13 ms to every import of the package, and serial sweeps never use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             rows = list(pool.map(_sweep_one, work))
     else:

@@ -1,21 +1,38 @@
 """Exact search over covers: colorability, criticality, and list-size thresholds.
 
-The search assigns color indices to vertices one at a time, always
-branching on an uncovered vertex with the fewest surviving colors
-(ties to the lowest index), trying colors in ascending order, and
-pruning a neighbor's color the moment a matching pair joins it to the
-current pick.  All answers are exact; instances are expected to be desk
-scale (n at most about 13).
+The search runs on a cover's conflict tables, with each vertex's
+surviving colors held as an int bitmask.  It assigns color indices to
+vertices one at a time, always branching on an uncovered vertex with
+the fewest surviving colors (ties to the lowest index), trying colors
+in ascending order, and pruning a neighbor's color the moment a
+matching pair joins it to the current pick.  All answers are exact;
+instances are expected to be desk scale (n at most about 13).
+
+Walking every cover of a graph (``cover_colorings``,
+``first_critical_cover``) compiles the graph once and steps an odometer
+over the per-edge matching choices in ``enumerate_covers`` order,
+rewriting only the tables of the edges whose choice changed.  Before
+searching, the previous cover's coloring is checked against those edges
+alone; if it survives, it proves the new cover colorable.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .covers import Cover, PartialColoring, is_independent, residual_list, enumerate_covers
+from .covers import (
+    ConflictTables,
+    Cover,
+    EdgeChoices,
+    PartialColoring,
+    conflict_rows,
+    cover_choices,
+    is_independent,
+    residual_list,
+)
 from .graphs import DegreeProfile, MultiGraph, SimpleGraph, clique_number
 
 
@@ -28,12 +45,71 @@ class SearchStats:
     elapsed: float = 0.0
 
 
-def _adjacency(c: Cover) -> dict[int, tuple[int, ...]]:
-    nbrs: dict[int, set[int]] = {u: set() for u in range(c.n)}
-    for u, v in c.edge_pairs():
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return {u: tuple(sorted(s)) for u, s in nbrs.items()}
+def _search(
+    conf: ConflictTables, avail: list[int], todo: Iterable[int], stats: SearchStats
+) -> Optional[dict[int, int]]:
+    """Pick a color for every vertex of todo, or None if impossible.
+
+    avail[u] is the bitmask of u's surviving colors; the search consumes
+    it.  Vertices outside todo are ignored.  Nodes expanded and the
+    deepest level reached are added to stats.
+    """
+    order = sorted(todo)
+    free = [False] * len(avail)
+    for u in order:
+        free[u] = True
+    assignment: dict[int, int] = {}
+    nodes = 0
+    deepest = 0
+
+    def search(depth: int) -> bool:
+        nonlocal nodes, deepest
+        if depth > deepest:
+            deepest = depth
+        u = -1
+        fewest = 0
+        for x in order:
+            if free[x]:
+                count = avail[x].bit_count()
+                if u < 0 or count < fewest:
+                    u, fewest = x, count
+        if u < 0:
+            return True
+        if not fewest:
+            return False
+        free[u] = False
+        nbrs = conf[u]
+        live = avail[u]
+        while live:
+            low = live & -live
+            live ^= low
+            i = low.bit_length() - 1
+            nodes += 1
+            removed: list[tuple[int, int]] = []
+            dead = False
+            for v, row in nbrs.items():
+                if free[v]:
+                    hit = avail[v] & row[i]
+                    if hit:
+                        avail[v] ^= hit
+                        removed.append((v, hit))
+                        if not avail[v]:
+                            dead = True
+                            break
+            if not dead:
+                assignment[u] = i
+                if search(depth + 1):
+                    return True
+                del assignment[u]
+            for v, hit in removed:
+                avail[v] |= hit
+        free[u] = True
+        return False
+
+    found = search(0)
+    stats.nodes_expanded += nodes
+    stats.max_depth = max(stats.max_depth, deepest)
+    return assignment if found else None
 
 
 def find_coloring(
@@ -53,66 +129,25 @@ def find_coloring(
         seed = PartialColoring()
     if not is_independent(c, seed):
         raise ValueError("seed is not independent")
-    for v, _ in seed.items:
-        if not 0 <= v < c.n:
-            raise ValueError(f"seed vertex {v} out of range")
     todo = set(range(c.n)) if target is None else set(target)
     for u in todo:
         if not 0 <= u < c.n:
             raise ValueError(f"target vertex {u} out of range")
     todo -= seed.dom
 
+    conf = c.conflict_tables()
+    avail = [(1 << s) - 1 for s in c.list_size]
+    for w, j in seed.items:
+        for v, row in conf[w].items():
+            avail[v] &= ~row[j]
     local = SearchStats()
-    avail: dict[int, set[int]] = {}
-    for u in sorted(todo):
-        alive = set(range(c.size(u)))
-        for w, j in seed.items:
-            for i in c.matched_colors(w, u, j):
-                alive.discard(i)
-        avail[u] = alive
-
-    nbrs = _adjacency(c)
-    assignment: dict[int, int] = {}
-    unassigned = set(todo)
-
-    def search(depth: int) -> bool:
-        local.max_depth = max(local.max_depth, depth)
-        if not unassigned:
-            return True
-        u = min(unassigned, key=lambda x: (len(avail[x]), x))
-        if not avail[u]:
-            return False
-        unassigned.remove(u)
-        for i in sorted(avail[u]):
-            local.nodes_expanded += 1
-            removed: list[tuple[int, int]] = []
-            dead = False
-            for v in nbrs[u]:
-                if v not in unassigned:
-                    continue
-                for j in c.matched_colors(u, v, i):
-                    if j in avail[v]:
-                        avail[v].remove(j)
-                        removed.append((v, j))
-                        if not avail[v]:
-                            dead = True
-            if not dead:
-                assignment[u] = i
-                if search(depth + 1):
-                    return True
-                del assignment[u]
-            for v, j in removed:
-                avail[v].add(j)
-        unassigned.add(u)
-        return False
-
-    found = search(0)
+    assignment = _search(conf, avail, todo, local)
     local.elapsed = time.perf_counter() - t0
     if stats is not None:
         stats.nodes_expanded = local.nodes_expanded
         stats.max_depth = local.max_depth
         stats.elapsed = local.elapsed
-    if not found:
+    if assignment is None:
         return None
     return seed.extended(assignment)
 
@@ -121,15 +156,92 @@ def is_colorable(c: Cover, stats: Optional[SearchStats] = None) -> bool:
     return find_coloring(c, stats=stats) is not None
 
 
+def _survives_every_deletion(conf: ConflictTables, sizes: Iterable[int]) -> bool:
+    """Is the cover with these tables colorable after dropping any one vertex?"""
+    full = [(1 << s) - 1 for s in sizes]
+    n = len(full)
+    stats = SearchStats()
+    return all(
+        _search(conf, list(full), [w for w in range(n) if w != u], stats) is not None
+        for u in range(n)
+    )
+
+
 def is_critical(c: Cover) -> bool:
     """Not colorable, yet colorable after dropping any one vertex."""
     if is_colorable(c):
         return False
-    everyone = set(range(c.n))
-    for u in range(c.n):
-        if find_coloring(c, everyone - {u}) is None:
-            return False
-    return True
+    return _survives_every_deletion(c.conflict_tables(), c.list_size)
+
+
+def _walk(
+    n: int, k: int, choices: EdgeChoices
+) -> Iterator[tuple[Optional[tuple[int, ...]], ConflictTables, list[int]]]:
+    """Decide every k-fold cover of the choice product on n vertices, last edge fastest.
+
+    Yields, per cover, a coloring (one pick per vertex) or None, the
+    live conflict tables, and the choice index of every edge; tables and
+    indices are only valid until the next step.
+    """
+    edges = [e for e, _ in choices]
+    rows = [[conflict_rows((m,), k, k) for m in options] for _, options in choices]
+    conf: ConflictTables = [{} for _ in range(n)]
+    for (u, v), edge_rows in zip(edges, rows):
+        conf[u][v], conf[v][u] = edge_rows[0]
+    digits = [0] * len(choices)
+    moving = [p for p, (_, options) in enumerate(choices) if len(options) > 1]
+    full = (1 << k) - 1
+    stats = SearchStats()
+    coloring: Optional[tuple[int, ...]] = None
+    changed: list[tuple[int, int]] = []
+    while True:
+        if coloring is None or any(
+            conf[u][v][coloring[u]] >> coloring[v] & 1 for u, v in changed
+        ):
+            found = _search(conf, [full] * n, range(n), stats)
+            coloring = None if found is None else tuple(found[u] for u in range(n))
+        yield coloring, conf, digits
+        for at in range(len(moving) - 1, -1, -1):
+            p = moving[at]
+            digits[p] += 1
+            if digits[p] < len(rows[p]):
+                break
+            digits[p] = 0
+        else:
+            return
+        changed = []
+        for p in moving[at:]:
+            u, v = edges[p]
+            conf[u][v], conf[v][u] = rows[p][digits[p]]
+            changed.append((u, v))
+
+
+def cover_colorings(g: SimpleGraph, k: int, regime: str) -> Iterator[Optional[tuple[int, ...]]]:
+    """A coloring of each cover of ``enumerate_covers(g, k, regime)``, in order.
+
+    Each is a tuple holding the pick of every vertex, or None where the
+    cover is uncolorable.  A coloring carried over from the previous
+    cover may differ from what ``find_coloring`` would return.
+    """
+    walk = _walk(g.n, k, cover_choices(g, k, regime))
+    return (coloring for coloring, _, _ in walk)
+
+
+def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Optional[Cover]]:
+    """The first critical cover of ``enumerate_covers(g, k, regime)``.
+
+    Returns how many covers were examined, the critical one included,
+    and that cover, or None once every cover has been examined.
+    """
+    choices = cover_choices(g, k, regime)
+    sizes = [k] * g.n
+    examined = 0
+    for coloring, conf, digits in _walk(g.n, k, choices):
+        examined += 1
+        if coloring is None and _survives_every_deletion(conf, sizes):
+            picked = {e: options[d] for (e, options), d in zip(choices, digits)}
+            return examined, Cover(g, sizes, picked)
+    return examined, None
 
 
 def _chi_dp_connected(g: SimpleGraph, max_k: Optional[int]) -> int:
@@ -139,7 +251,7 @@ def _chi_dp_connected(g: SimpleGraph, max_k: Optional[int]) -> int:
     # needs no enumeration
     cap = hi if max_k is None else min(hi, max_k + 1)
     for k in range(lo, cap):
-        if all(is_colorable(c) for c in enumerate_covers(g, k, "perfect")):
+        if all(p is not None for p in cover_colorings(g, k, "perfect")):
             return k
     if max_k is not None and hi > max_k:
         raise ValueError(f"threshold exceeds max_k={max_k}")

@@ -62,6 +62,32 @@ def brute_force_colorings(c: Cover) -> list[tuple[int, ...]]:
     return hits
 
 
+def first_brute_force_coloring(c: Cover) -> tuple[int, ...] | None:
+    """The first hit of the product scan above, or None.
+
+    Scans in the same lexicographic order but skips every prefix that
+    already joins two picks by a matched pair, so colorable covers with
+    many vertices stay cheap.
+    """
+    earlier: list[list[tuple[int, set]]] = [[] for _ in range(c.n)]
+    for u, v in c.edge_pairs():
+        earlier[v].append((u, set(c.h_edges(u, v))))
+    combo: list[int] = []
+
+    def extend(v: int) -> bool:
+        if v == c.n:
+            return True
+        for i in range(c.size(v)):
+            if all((combo[u], i) not in h for u, h in earlier[v]):
+                combo.append(i)
+                if extend(v + 1):
+                    return True
+                combo.pop()
+        return False
+
+    return tuple(combo) if extend(0) else None
+
+
 def residual_count(c: Cover) -> int:
     """Count full colorings by recursing on residual lists, vertex by vertex."""
 

@@ -65,6 +65,22 @@ class TestSolve:
         assert main(["solve", "--cover", str(path)]) == 1
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"graph6":5,"k":2}',
+            '{"multigraph":{"n":2},"k":2}',
+            '{"graph6":"Cl","k":2,"matchings":{"0-1":5}}',
+            '{"graph6":"Cl","k":2,"matchings":[1]}',
+        ],
+    )
+    def test_malformed_cover_exits_1(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main(["solve", "--cover", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCritical:
     def test_verdicts(self, tmp_path, capsys):
         straight, twisted = make_c4_covers()
@@ -134,6 +150,11 @@ class TestRecognize:
 
     def test_brick_requires_a_graph(self, capsys):
         assert main(["recognize", "--what", "brick", "--k", "3"]) == 1
+
+    def test_brick_malformed_multigraph_exits_1(self, capsys):
+        for doc in ('{"n":3}', "[3]", '{"n":3,"edges":[[0,1]]}'):
+            assert main(["recognize", "--what", "brick", "--multigraph", doc, "--k", "3"]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConstruct:

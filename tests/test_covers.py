@@ -426,6 +426,28 @@ class TestJson:
         with pytest.raises((ValueError, json.JSONDecodeError)):
             cover_from_json_text("not json")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"graph6": 5, "k": 2},
+            {"multigraph": {"n": 2}, "k": 2},
+            {"multigraph": [2], "k": 2},
+            {"multigraph": {"n": "2", "edges": []}, "k": 2},
+            {"multigraph": {"n": 2, "edges": [[0, 1]]}, "k": 2},
+            {"graph6": "Cl", "list_sizes": 4},
+            {"graph6": "Cl", "list_sizes": [2, None, 2, 2]},
+            {"graph6": "Cl", "k": 2, "matchings": {"0-1": 5}},
+            {"graph6": "Cl", "k": 2, "matchings": {"0-1": [5]}},
+            {"graph6": "Cl", "k": 2, "matchings": {"0-1": [[0, "a"]]}},
+            {"graph6": "Cl", "k": 2, "matchings": [1]},
+            {"graph6": "Cl", "k": 2, "matchings": {(0, 1): [[0, 0]]}},
+            [["graph6", "Cl"]],
+        ],
+    )
+    def test_malformed_shapes_raise_value_error(self, doc):
+        with pytest.raises(ValueError):
+            cover_from_json(doc)
+
     def test_coloring_serialization(self):
         assert coloring_to_json_text(None) == "null"
         p = PartialColoring({2: 0, 0: 1})
