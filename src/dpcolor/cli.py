@@ -27,7 +27,7 @@ from .construct import (
     make_multigraph_counterexample,
     make_wheel,
 )
-from .graphs import MultiGraph, emit_graph6, multigraph_from_json, parse_graph6
+from .graphs import emit_graph6, multigraph_from_json, parse_graph6
 from .harness import (
     SweepConfig,
     emit_report,
@@ -88,8 +88,7 @@ def _cmd_recognize(args) -> int:
         if args.multigraph:
             g = multigraph_from_json(json.loads(args.multigraph))
         elif args.graph:
-            simple = parse_graph6(args.graph)
-            g = MultiGraph(simple.n, [(u, v, 1) for u, v in simple.edges()])
+            g = parse_graph6(args.graph)
         else:
             raise ValueError("recognize brick requires --graph or --multigraph")
         witness = find_brick(g, args.k, allow_submultiplicity=not args.exact_multiplicity)

@@ -33,14 +33,12 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .graphs import (
-    MultiGraph,
+    BaseGraph,
     SimpleGraph,
     emit_graph6,
     multigraph_from_json,
     parse_graph6,
 )
-
-BaseGraph = Union[SimpleGraph, MultiGraph]
 
 Matching = tuple[tuple[int, int], ...]
 
@@ -70,11 +68,13 @@ def conflict_rows(
     return fwd, bwd
 
 
-def _normalize_matching(pairs: Iterable[Sequence[int]], where: str) -> Matching:
+def _normalize_matching(pairs: Iterable, e: tuple[int, int], s: int, count: int) -> Matching:
+    """Sorted int pairs of slot s of the pair e, which has count slots."""
     out = []
     for p in pairs:
         p = tuple(p)
         if len(p) != 2 or not all(isinstance(x, int) for x in p):
+            where = f"edge {e}" + (f" slot {s}" if count > 1 else "")
             raise ValueError(f"{where}: matching pair {p!r} is not a pair of ints")
         out.append((p[0], p[1]))
     out.sort()
@@ -82,62 +82,57 @@ def _normalize_matching(pairs: Iterable[Sequence[int]], where: str) -> Matching:
 
 
 class Cover:
-    """A cover of ``base``: per-vertex list sizes plus per-edge matchings.
+    """A cover of ``base``: per-vertex list sizes plus per-pair matchings.
 
-    ``matchings`` maps an edge (u, v) with u < v to its matching; for a
-    multigraph base the value is a sequence of exactly multiplicity(u, v)
-    matchings.  Edges absent from the mapping get empty matchings.  Keys
-    that are not edges of the base are rejected: cross-list constraints
-    may only sit over actual edges.
+    Every base is read through ``base.pairs()``: a pair of multiplicity t
+    (always 1 on a simple graph) carries t matchings, one per parallel
+    edge.  ``matchings`` maps a pair (u, v) to one bare matching on a
+    ``SimpleGraph`` base and to exactly t matchings on a ``MultiGraph``
+    base; ``Cover.from_slots`` takes the list of t on either base.  Pairs
+    absent from the mapping get empty matchings.  Keys that are not pairs
+    of the base are rejected: cross-list constraints may only sit over
+    actual edges.
     """
 
     __slots__ = ("base", "list_size", "_slots", "_conf")
 
-    def __init__(
-        self,
-        base: BaseGraph,
-        sizes: Sequence[int],
-        matchings: Mapping[tuple[int, int], object] = {},
-    ):
+    def __init__(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping = {}):
+        self._fill(base, sizes, matchings, bare=isinstance(base, SimpleGraph))
+
+    @classmethod
+    def from_slots(cls, base: BaseGraph, sizes: Sequence[int], slots: Mapping) -> "Cover":
+        """A cover from the list of matchings of each pair, on any base."""
+        cover = cls.__new__(cls)
+        cover._fill(base, sizes, slots, bare=False)
+        return cover
+
+    def _fill(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping, bare: bool):
         if len(sizes) != base.n:
             raise ValueError(f"got {len(sizes)} list sizes for {base.n} vertices")
         if any(s < 0 for s in sizes):
             raise ValueError("list sizes must be non-negative")
         self.base = base
         self.list_size = tuple(sizes)
-
-        if isinstance(base, MultiGraph):
-            mult = {(u, v): t for u, v, t in base.pairs()}
-        else:
-            mult = {e: 1 for e in base.edges()}
-
         slots: dict[tuple[int, int], tuple[Matching, ...]] = {
-            e: ((),) * t for e, t in mult.items()
+            (u, v): ((),) * t for u, v, t in base.pairs()
         }
         for key, value in matchings.items():
             u, v = key
             e = (u, v) if u < v else (v, u)
-            if e not in mult:
+            if e not in slots:
                 raise ValueError(f"matching key {key!r} is not an edge of the base graph")
-            flipped = e != (u, v)
-            if isinstance(base, MultiGraph):
-                given = list(value)  # type: ignore[arg-type]
-                if len(given) != mult[e]:
-                    raise ValueError(
-                        f"edge {e} has multiplicity {mult[e]} but {len(given)} matchings given"
-                    )
-                norm = []
-                for s, slot in enumerate(given):
-                    pairs = _normalize_matching(slot, f"edge {e} slot {s}")
-                    if flipped:
-                        pairs = tuple(sorted((j, i) for i, j in pairs))
-                    norm.append(pairs)
-                slots[e] = tuple(norm)
-            else:
-                pairs = _normalize_matching(value, f"edge {e}")  # type: ignore[arg-type]
-                if flipped:
+            given = (value,) if bare else list(value)
+            if len(given) != len(slots[e]):
+                raise ValueError(
+                    f"edge {e} has multiplicity {len(slots[e])} but {len(given)} matchings given"
+                )
+            norm = []
+            for s, slot in enumerate(given):
+                pairs = _normalize_matching(slot, e, s, len(given))
+                if e != (u, v):
                     pairs = tuple(sorted((j, i) for i, j in pairs))
-                slots[e] = (pairs,)
+                norm.append(pairs)
+            slots[e] = tuple(norm)
         self._slots = slots
         self._conf: ConflictTables | None = None
 
@@ -304,6 +299,16 @@ def validate_cover(c: Cover) -> str | None:
     return None
 
 
+def is_full_matching(c: Cover, u: int, v: int) -> bool:
+    """The union of the pair's matchings has size(u) pairs and touches every color of u and v."""
+    pairs = c.h_edges(u, v)
+    return (
+        len(pairs) == c.size(u)
+        and {i for i, _ in pairs} == set(range(c.size(u)))
+        and {j for _, j in pairs} == set(range(c.size(v)))
+    )
+
+
 def cover_from_lists(g: BaseGraph, lists: Sequence[Sequence[object]]) -> Cover:
     """Cover whose matchings join equal colors of adjacent lists.
 
@@ -325,13 +330,8 @@ def cover_from_lists(g: BaseGraph, lists: Sequence[Sequence[object]]) -> Cover:
         common = set(sorted_lists[u]) & set(sorted_lists[v])
         return tuple(sorted((index[u][c], index[v][c]) for c in common))
 
-    if isinstance(g, MultiGraph):
-        matchings: dict[tuple[int, int], object] = {
-            (u, v): [shared(u, v)] * t for u, v, t in g.pairs()
-        }
-    else:
-        matchings = {e: shared(*e) for e in g.edges()}
-    return Cover(g, [len(lst) for lst in sorted_lists], matchings)
+    slots = {(u, v): [shared(u, v)] * t for u, v, t in g.pairs()}
+    return Cover.from_slots(g, [len(lst) for lst in sorted_lists], slots)
 
 
 def residual_list(c: Cover, p: PartialColoring, u: int) -> tuple[int, ...]:
@@ -442,14 +442,14 @@ def relabel_colors(c: Cover, perms: Sequence[Sequence[int]]) -> Cover:
         if sorted(table) != list(range(c.size(u))):
             raise ValueError(f"entry {u} is not a permutation of 0..{c.size(u) - 1}")
         tables.append(table)
-    matchings: dict[tuple[int, int], object] = {}
-    for u, v in c.edge_pairs():
-        slots = [
+    slots = {
+        (u, v): [
             tuple(sorted((tables[u][i], tables[v][j]) for i, j in slot))
             for slot in c.slot_matchings(u, v)
         ]
-        matchings[(u, v)] = slots if isinstance(c.base, MultiGraph) else slots[0]
-    return Cover(c.base, c.list_size, matchings)
+        for u, v in c.edge_pairs()
+    }
+    return Cover.from_slots(c.base, c.list_size, slots)
 
 
 def cover_to_json(c: Cover) -> dict:
@@ -459,13 +459,13 @@ def cover_to_json(c: Cover) -> dict:
         out["k"] = c.k
     else:
         out["list_sizes"] = list(c.list_size)
-    if isinstance(c.base, MultiGraph):
+    if isinstance(c.base, SimpleGraph):
+        out["graph6"] = emit_graph6(c.base)
+    else:
         out["multigraph"] = {
             "n": c.base.n,
             "edges": [[u, v, t] for u, v, t in c.base.pairs()],
         }
-    else:
-        out["graph6"] = emit_graph6(c.base)
     matchings: dict[str, list[list[int]]] = {}
     for u, v in c.edge_pairs():
         slots = c.slot_matchings(u, v)
@@ -508,12 +508,9 @@ def cover_from_json(data: Mapping) -> Cover:
     if not isinstance(given, Mapping):
         raise ValueError(f"matchings must be an object, got {given!r}")
 
-    mult = (
-        {(u, v): t for u, v, t in base.pairs()}
-        if isinstance(base, MultiGraph)
-        else {e: 1 for e in base.edges()}
-    )
-    per_edge: dict[tuple[int, int], dict[int, Matching]] = {}
+    mult = {(u, v): t for u, v, t in base.pairs()}
+    slots: dict[tuple[int, int], list[Matching]] = {}
+    seen: set[tuple[int, int, int]] = set()
     for key, pairs in given.items():
         if not isinstance(key, str):
             raise ValueError(f"malformed matching key {key!r}")
@@ -530,23 +527,17 @@ def cover_from_json(data: Mapping) -> Cover:
             raise ValueError(f"matching key {key!r} is not an edge of the base graph")
         if not 0 <= slot < mult[(u, v)]:
             raise ValueError(f"matching key {key!r}: slot out of range")
-        entry = per_edge.setdefault((u, v), {})
-        if slot in entry:
+        if (u, v, slot) in seen:
             raise ValueError(f"matching key {key!r}: slot given twice")
+        seen.add((u, v, slot))
         try:
             # Cover rejects any entry that is not a pair of ints
-            entry[slot] = tuple(tuple(p) for p in pairs)
+            matching = tuple(tuple(p) for p in pairs)
         except TypeError:
             raise ValueError(f"matching {key!r} must be a list of [i, j] int pairs") from None
+        slots.setdefault((u, v), [()] * mult[(u, v)])[slot] = matching
 
-    if isinstance(base, MultiGraph):
-        matchings: dict[tuple[int, int], object] = {
-            e: [per_edge.get(e, {}).get(s, ()) for s in range(t)]
-            for e, t in mult.items()
-        }
-    else:
-        matchings = {e: per_edge.get(e, {}).get(0, ()) for e in mult}
-    cover = Cover(base, sizes, matchings)
+    cover = Cover.from_slots(base, sizes, slots)
     problem = validate_cover(cover)
     if problem is not None:
         raise ValueError(f"invalid cover: {problem}")
@@ -574,7 +565,16 @@ def coloring_to_json_text(p: PartialColoring | None) -> str:
 
 
 def coloring_from_json_text(text: str) -> PartialColoring | None:
-    data = json.loads(text)
+    """Read ``null`` or a list of [vertex, color] int pairs; anything else raises ValueError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid coloring JSON: {exc}") from None
     if data is None:
         return None
-    return PartialColoring([(int(v), int(i)) for v, i in data])
+    # bool is an int subclass, but JSON true/false are not vertex or color indices
+    if not isinstance(data, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in data
+    ):
+        raise ValueError(f"coloring JSON must be null or a list of [v, i] int pairs, got {data!r}")
+    return PartialColoring([(v, i) for v, i in data])

@@ -2,7 +2,10 @@
 
 Vertices are always 0..n-1.  ``SimpleGraph`` stores a tuple of frozen
 neighbor sets and is hashable; ``MultiGraph`` stores positive edge
-multiplicities keyed by sorted vertex pairs.  The graph6 codec implements
+multiplicities keyed by sorted vertex pairs.  A simple graph also answers
+the multigraph calls (``pairs``, ``multiplicity``, ``simple``) as the
+multigraph whose multiplicities are all 1, so covers and structure checks
+never ask which kind they hold.  The graph6 codec implements
 the short form of McKay's format (n <= 62): one header byte ``n + 63``
 followed by ceil(n(n-1)/2 / 6) payload bytes carrying the upper triangle
 of the adjacency matrix in column order, six bits per byte, each offset
@@ -12,7 +15,7 @@ by 63.  Parse failures raise :class:`Graph6Error` naming the byte offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 
 class Graph6Error(ValueError):
@@ -113,6 +116,17 @@ class SimpleGraph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
 
+    def pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """Edges as (u, v, 1), u < v, sorted: the MultiGraph view."""
+        return tuple((u, v, 1) for u, v in self._edges)
+
+    def multiplicity(self, u: int, v: int) -> int:
+        return 1 if self.has_edge(u, v) else 0
+
+    def simple(self) -> "SimpleGraph":
+        """Itself: every multiplicity is already 1."""
+        return self
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
@@ -128,7 +142,7 @@ class SimpleGraph:
 class MultiGraph:
     """Loopless multigraph: positive multiplicities on sorted vertex pairs."""
 
-    __slots__ = ("n", "m", "_mult")
+    __slots__ = ("n", "m", "_mult", "_simple")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         if n < 0:
@@ -146,6 +160,7 @@ class MultiGraph:
         self.n = n
         self._mult: dict[tuple[int, int], int] = dict(sorted(mult.items()))
         self.m = sum(self._mult.values())
+        self._simple: SimpleGraph | None = None
 
     @property
     def vertices(self) -> range:
@@ -175,8 +190,10 @@ class MultiGraph:
         return tuple(degs)
 
     def simple(self) -> SimpleGraph:
-        """Underlying simple graph (multiplicities collapsed)."""
-        return SimpleGraph(self.n, self._mult.keys())
+        """Underlying simple graph (multiplicities collapsed), built on first use."""
+        if self._simple is None:
+            self._simple = SimpleGraph(self.n, self._mult.keys())
+        return self._simple
 
     def is_connected(self) -> bool:
         return self.simple().is_connected()
@@ -191,6 +208,10 @@ class MultiGraph:
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
+
+
+# read only through n, m, pairs(), multiplicity(u, v), degrees() and simple()
+BaseGraph = Union[SimpleGraph, MultiGraph]
 
 
 def multigraph_from_json(data: object) -> MultiGraph:
@@ -359,6 +380,25 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
 
+def is_clique(g: SimpleGraph) -> bool:
+    """Every two vertices are adjacent (true for 0 and 1 vertices)."""
+    return g.m == g.n * (g.n - 1) // 2
+
+
+def is_cycle_block(g: SimpleGraph) -> bool:
+    """At least 3 vertices, all of degree 2: a cycle, when g is a block (2-connected)."""
+    return g.n >= 3 and all(d == 2 for d in g.degrees())
+
+
+def block_shape(g: SimpleGraph) -> Optional[str]:
+    """``"clique"`` or ``"cycle"`` for a block, else None; a triangle is a clique."""
+    if is_clique(g):
+        return "clique"
+    if is_cycle_block(g):
+        return "cycle"
+    return None
+
+
 @dataclass(frozen=True)
 class DegreeProfile:
     """Per-vertex degree excesses relative to a list size k.
@@ -373,7 +413,7 @@ class DegreeProfile:
     epsilon_total: int
 
 
-def degree_profile(g: Union[SimpleGraph, MultiGraph], k: int) -> DegreeProfile:
+def degree_profile(g: BaseGraph, k: int) -> DegreeProfile:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     degs = g.degrees()

@@ -23,13 +23,13 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .covers import Cover, cover_from_json_text, cover_to_json_text, validate_cover
+from .covers import Cover, cover_from_json_text, cover_to_json_text, is_full_matching
 from .graphs import (
     Graph6Error,
-    MultiGraph,
     SimpleGraph,
     contains_clique,
     emit_graph6,
+    is_clique,
     parse_graph6,
 )
 from .recognize import is_gdp_forest, recognize_dirac
@@ -210,24 +210,29 @@ def verify_dirac_bound(cfg: SweepConfig, lines: Iterable[str]) -> list[DiracRepo
 
 
 def revalidate_row(row: DiracReportRow) -> bool:
-    """Recheck a refutation row from its serialized witness alone."""
+    """Recheck a refutation row from its serialized witness alone.
+
+    The witness must be a critical k-fold cover of the row's graph whose
+    k gives the row's deficit, with full matchings in the perfect regime.
+    """
     if not row.critical_cover_found:
         return row.witness_cover == ""
     try:
         cover = cover_from_json_text(row.witness_cover)
     except ValueError:
         return False
-    base = cover.base
+    base, k = cover.base, cover.k
+    # report rows name their graph in graph6, which only a simple graph has
     if not isinstance(base, SimpleGraph):
         return False
     if emit_graph6(base) != row.graph6 or base.n != row.n or base.m != row.m:
         return False
-    if validate_cover(cover) is not None:
+    if k is None or row.deficit != 2 * base.m - (k * base.n + k - 2):
         return False
-    if row.regime == "perfect":
-        for u, v in cover.edge_pairs():
-            if len(cover.h_edges(u, v)) != cover.size(u):
-                return False
+    if row.regime == "perfect" and not all(
+        is_full_matching(cover, u, v) for u, v in cover.edge_pairs()
+    ):
+        return False
     return is_critical(cover)
 
 
@@ -279,29 +284,24 @@ def verify_critical_structure(c: Cover) -> CriticalStructureReport:
     if not is_critical(c):
         raise ValueError("cover is not critical")
     base = c.base
-    simple = base.simple() if isinstance(base, MultiGraph) else base
+    simple = base.simple()
     degrees = base.degrees()
     low = tuple(sorted(u for u in range(base.n) if degrees[u] == k))
     low_set = set(low)
     induced = simple.induced(low)
     forest_ok = is_gdp_forest(induced)
 
-    def multiplicity(u: int, w: int) -> int:
-        if isinstance(base, MultiGraph):
-            return base.multiplicity(u, w)
-        return 1 if simple.has_edge(u, w) else 0
-
     checks = []
     for comp in induced.connected_components():
         vs = tuple(sorted(low[i] for i in comp))
         boundary = sum(
-            multiplicity(u, w)
+            base.multiplicity(u, w)
             for u in vs
             for w in simple.neighbors(u)
             if w not in low_set
         )
         sub = simple.induced(vs)
-        complete = sub.m == sub.n * (sub.n - 1) // 2
+        complete = is_clique(sub)
         is_full = complete and sub.n == k + 1 and base.n == k + 1
         bound_ok = is_full or boundary >= k
         equality = boundary == k

@@ -16,37 +16,21 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .graphs import MultiGraph, SimpleGraph, block_decomposition
-
-
-def _block_is_clique(sub: SimpleGraph) -> bool:
-    return sub.m == sub.n * (sub.n - 1) // 2
-
-
-def _block_is_cycle(sub: SimpleGraph) -> bool:
-    # a biconnected 2-regular graph is a single cycle
-    return sub.n >= 3 and all(sub.degree(v) == 2 for v in sub.vertices)
+from .graphs import BaseGraph, SimpleGraph, block_decomposition, block_shape, is_clique
 
 
 def is_gallai_forest(g: SimpleGraph) -> bool:
     """Every block is a clique or an odd cycle."""
     for block in block_decomposition(g).blocks:
-        sub = g.induced(block)
-        if _block_is_clique(sub):
-            continue
-        if _block_is_cycle(sub) and sub.n % 2 == 1:
-            continue
-        return False
+        shape = block_shape(g.induced(block))
+        if not (shape == "clique" or (shape == "cycle" and len(block) % 2 == 1)):
+            return False
     return True
 
 
 def is_gdp_forest(g: SimpleGraph) -> bool:
     """Every block is a clique or a cycle (any parity)."""
-    for block in block_decomposition(g).blocks:
-        sub = g.induced(block)
-        if not (_block_is_clique(sub) or _block_is_cycle(sub)):
-            return False
-    return True
+    return all(block_shape(g.induced(b)) is not None for b in block_decomposition(g).blocks)
 
 
 def gdp_deficiency(f: SimpleGraph, k: int) -> int:
@@ -109,9 +93,7 @@ def recognize_dirac(g: SimpleGraph, k: int) -> Optional[DiracWitness]:
                 break
         if not ok or len(v1) != k or len(v2) != k - 1:
             continue
-        if not _block_is_clique(g.induced(v1)):
-            continue
-        if not _block_is_clique(g.induced(v2)):
+        if not (is_clique(g.induced(v1)) and is_clique(g.induced(v2))):
             continue
         if any(g.has_edge(a, b) for a in v1 for b in v2):
             continue
@@ -153,9 +135,9 @@ class BrickWitness:
 
 
 def find_brick(
-    g: MultiGraph, k: int, allow_submultiplicity: bool = True
+    g: BaseGraph, k: int, allow_submultiplicity: bool = True
 ) -> Optional[BrickWitness]:
-    """Search for a k-brick inside g, smallest vertex sets first.
+    """Search for a k-brick inside g (simple graphs too), smallest vertex sets first.
 
     With ``allow_submultiplicity`` (the default) the brick only needs
     each of its edges present with at least the brick multiplicity,

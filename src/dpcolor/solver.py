@@ -30,10 +30,21 @@ from .covers import (
     PartialColoring,
     conflict_rows,
     cover_choices,
+    cover_from_json_text,
+    cover_to_json_text,
+    is_full_matching,
     is_independent,
     residual_list,
 )
-from .graphs import DegreeProfile, MultiGraph, SimpleGraph, clique_number
+from .graphs import (
+    DegreeProfile,
+    SimpleGraph,
+    block_decomposition,
+    block_shape,
+    clique_number,
+    is_clique,
+    is_cycle_block,
+)
 
 
 @dataclass
@@ -290,12 +301,8 @@ def is_enhanced(c: Cover, p: PartialColoring, u: int, profile: DegreeProfile) ->
         raise ValueError(f"vertex {u} does not have degree exactly {profile.k}")
     if u in p:
         raise ValueError(f"vertex {u} is already colored")
-    uncovered = set(range(c.n)) - p.dom
     base = c.base
-    if isinstance(base, MultiGraph):
-        deg_u = sum(base.multiplicity(u, w) for w in uncovered if w != u)
-    else:
-        deg_u = len(base.neighbors(u) & uncovered)
+    deg_u = sum(base.multiplicity(u, w) for w in base.simple().neighbors(u) if w not in p)
     return len(residual_list(c, p, u)) > deg_u
 
 
@@ -314,8 +321,7 @@ def find_enhancing_extension(
     exactly this set enhances u.
     """
     a_sorted = sorted(set(attach))
-    base = c.base
-    simple = base.simple() if isinstance(base, MultiGraph) else base
+    simple = c.base.simple()
     for a in a_sorted:
         if a in p:
             raise ValueError(f"attach vertex {a} is already colored")
@@ -353,13 +359,9 @@ class GDPCertificate:
     saturated_pairs: Optional[tuple[tuple[int, int], ...]]
 
 
-def _block_kind(sub: SimpleGraph) -> Optional[str]:
-    b = sub.n
-    if sub.m == b * (b - 1) // 2:
-        return "clique"
-    if b >= 3 and all(sub.degree(v) == 2 for v in sub.vertices):
-        return "cycle"
-    return None
+def _saturated_pairs(g: SimpleGraph, cuts: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    """The edges joining two non-cut vertices, sorted."""
+    return tuple((u, v) for u, v in g.edges() if u not in cuts and v not in cuts)
 
 
 def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
@@ -370,11 +372,9 @@ def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
     scratch.  A structural check failing after an uncolorable verdict
     means a bug, and raises.
     """
-    from .graphs import block_decomposition
-
     if not g.is_connected():
         raise ValueError("degree-cover coloring requires a connected graph")
-    if not isinstance(c.base, SimpleGraph) or c.base != g:
+    if c.base != g:
         raise ValueError("cover base does not match the given graph")
     for u in g.vertices:
         if c.size(u) < g.degree(u):
@@ -388,7 +388,7 @@ def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
     blocks = []
     for block in bd.blocks:
         vs = tuple(sorted(block))
-        kind = _block_kind(g.induced(vs))
+        kind = block_shape(g.induced(vs))
         if kind is None:
             raise RuntimeError(
                 f"uncolorable degree cover on a block {vs} that is neither "
@@ -401,34 +401,25 @@ def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
             "uncolorable degree cover with a list strictly larger than a "
             "degree; solver is wrong"
         )
-    saturated = []
-    for u, v in g.edges():
-        if u in bd.cut_vertices or v in bd.cut_vertices:
-            continue
-        pairs = c.h_edges(u, v)
-        left = {i for i, _ in pairs}
-        right = {j for _, j in pairs}
-        if len(pairs) != c.size(u) or left != set(range(c.size(u))) or right != set(range(c.size(v))):
+    saturated = _saturated_pairs(g, bd.cut_vertices)
+    for u, v in saturated:
+        if not is_full_matching(c, u, v):
             raise RuntimeError(
                 f"uncolorable degree cover but edge ({u}, {v}) between "
                 "non-cut vertices is not a full matching; solver is wrong"
             )
-        saturated.append((u, v))
     return GDPCertificate(
         False,
         None,
         tuple(blocks),
         tuple(sorted(bd.cut_vertices)),
         degree_tight,
-        tuple(saturated),
+        saturated,
     )
 
 
 def certificate_is_valid(g: SimpleGraph, c: Cover, cert: GDPCertificate) -> bool:
     """Recheck a certificate from scratch (fresh cover, fresh decomposition)."""
-    from .covers import cover_from_json_text, cover_to_json_text
-    from .graphs import block_decomposition
-
     fresh = cover_from_json_text(cover_to_json_text(c))
     if cert.colorable:
         p = cert.coloring
@@ -451,30 +442,15 @@ def certificate_is_valid(g: SimpleGraph, c: Cover, cert: GDPCertificate) -> bool
     if set(found) != actual:
         return False
     for vs, kind in found.items():
-        if _block_kind(g.induced(vs)) is None or kind not in ("clique", "cycle"):
-            return False
+        # a triangle is both, and either kind certifies it
         sub = g.induced(vs)
-        if kind == "clique" and sub.m != sub.n * (sub.n - 1) // 2:
-            return False
-        if kind == "cycle" and not (sub.n >= 3 and all(sub.degree(v) == 2 for v in sub.vertices)):
+        if not (kind == "clique" and is_clique(sub) or kind == "cycle" and is_cycle_block(sub)):
             return False
     if cert.degree_tight is not True:
         return False
     if any(fresh.size(u) != g.degree(u) for u in g.vertices):
         return False
-    expected_pairs = tuple(
-        (u, v)
-        for u, v in g.edges()
-        if u not in bd.cut_vertices and v not in bd.cut_vertices
-    )
+    expected_pairs = _saturated_pairs(g, bd.cut_vertices)
     if cert.saturated_pairs is None or tuple(sorted(cert.saturated_pairs)) != expected_pairs:
         return False
-    for u, v in expected_pairs:
-        pairs = fresh.h_edges(u, v)
-        if len(pairs) != fresh.size(u):
-            return False
-        if {i for i, _ in pairs} != set(range(fresh.size(u))):
-            return False
-        if {j for _, j in pairs} != set(range(fresh.size(v))):
-            return False
-    return True
+    return all(is_full_matching(fresh, u, v) for u, v in expected_pairs)

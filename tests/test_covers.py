@@ -28,7 +28,7 @@ from dpcolor import (
     validate_cover,
 )
 from dpcolor.construct import make_c4_covers, make_ks_example
-from dpcolor.covers import coloring_from_json_text, coloring_to_json_text
+from dpcolor.covers import coloring_from_json_text, coloring_to_json_text, is_full_matching
 
 from helpers import (
     brute_force_colorings,
@@ -86,6 +86,16 @@ class TestCoverConstruction:
         assert set(c.h_edges(0, 1)) == {(0, 0), (1, 1)}
         with pytest.raises(ValueError):
             Cover(g, [2, 2], {(0, 1): [[(0, 0)]]})  # one matching for two parallel edges
+
+    def test_from_slots_takes_one_list_per_pair_on_any_base(self):
+        bare = Cover(C4, [2] * 4, {(0, 1): [(0, 1)], (3, 2): [(1, 0)]})
+        slots = {(0, 1): [[(0, 1)]], (3, 2): [[(1, 0)]]}
+        assert Cover.from_slots(C4, [2] * 4, slots) == bare
+        g = MultiGraph(2, [(0, 1, 2)])
+        listed = Cover(g, [2, 2], {(0, 1): [[(0, 0)], [(1, 1)]]})
+        assert Cover.from_slots(g, [2, 2], {(1, 0): [[(0, 0)], [(1, 1)]]}) == listed
+        with pytest.raises(ValueError):  # C4 has no parallel edges
+            Cover.from_slots(C4, [2] * 4, {(0, 1): [[(0, 1)], [(1, 0)]]})
 
     def test_rejects_wrong_size_vector(self):
         with pytest.raises(ValueError):
@@ -454,6 +464,60 @@ class TestJson:
         assert coloring_to_json_text(p) == "[[0,1],[2,0]]"
         assert coloring_from_json_text("[[0, 1], [2, 0]]") == p
         assert coloring_from_json_text("null") is None
+        assert coloring_from_json_text("[]") == PartialColoring()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5",
+            "true",
+            '"[[0, 1]]"',
+            '{"0": 1}',
+            "[[0, 1.5]]",
+            "[[0.0, 1]]",
+            "[[0, true]]",
+            '[[0, "1"]]',
+            "[[0, null]]",
+            "[[0]]",
+            "[[0, 1, 2]]",
+            "[0, 1]",
+            "[[0, 1], 5]",
+            "[[0, 1], [0, 0]]",
+            "[[-1, 0]]",
+            "[[0, 1]",
+            "",
+        ],
+    )
+    def test_malformed_coloring_raises_value_error(self, text):
+        with pytest.raises(ValueError) as info:
+            coloring_from_json_text(text)
+        assert str(info.value)
+
+
+class TestFullMatching:
+    def test_bijection_is_full(self):
+        c = Cover(SimpleGraph(2, [(0, 1)]), [3, 3], {(0, 1): [(0, 1), (1, 2), (2, 0)]})
+        assert is_full_matching(c, 0, 1) and is_full_matching(c, 1, 0)
+
+    def test_missing_or_stray_pairs_are_not_full(self):
+        g = SimpleGraph(2, [(0, 1)])
+        assert not is_full_matching(Cover(g, [2, 2], {(0, 1): [(0, 0)]}), 0, 1)
+        assert not is_full_matching(Cover(g, [2, 2], {(0, 1): [(0, 0), (1, 2)]}), 0, 1)
+        assert not is_full_matching(Cover(g, [2, 2], {(0, 1): [(0, 0), (0, 1)]}), 0, 1)
+        assert not is_full_matching(Cover(g, [2, 3], {(0, 1): [(0, 0), (1, 1)]}), 0, 1)
+
+    def test_unequal_lists_read_as_before(self):
+        # the union covers both lists with size(u) pairs; this shape was
+        # accepted by every copy the predicate replaced
+        g = SimpleGraph(2, [(0, 1)])
+        c = Cover(g, [3, 2], {(0, 1): [(0, 0), (1, 1), (2, 1)]})
+        assert is_full_matching(c, 0, 1)
+        assert not is_full_matching(c, 1, 0)
+
+    def test_parallel_slots_are_read_as_their_union(self):
+        mg = MultiGraph(2, [(0, 1, 2)])
+        c = Cover(mg, [2, 2], {(0, 1): [[(0, 1)], [(1, 0)]]})
+        assert is_full_matching(c, 0, 1)
 
 
 class TestCountingAgreement:

@@ -17,11 +17,13 @@ from dpcolor import (
     emit_graph6,
     parse_graph6,
 )
+from dpcolor.graphs import block_shape, is_clique, is_cycle_block
 from dpcolor.construct import make_dirac, make_wheel
 
 from helpers import (
     atlas_connected,
     from_nx,
+    nx_block_kind,
     nx_clique_number,
     nx_graph6,
     random_connected_graph,
@@ -102,6 +104,32 @@ class TestMultiGraph:
     def test_connectivity_ignores_multiplicity(self):
         assert MultiGraph(2, [(0, 1, 5)]).is_connected()
         assert not MultiGraph(3, [(0, 1, 5)]).is_connected()
+
+
+class TestMultigraphProtocol:
+    """A simple graph answers the multigraph calls as its all-ones twin."""
+
+    def test_matches_all_ones_twin(self):
+        rng = Random(2718)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(1, 7), extra_p=0.3)
+            twin = MultiGraph(g.n, [(u, v, 1) for u, v in g.edges()])
+            assert g.pairs() == twin.pairs()
+            assert g.degrees() == twin.degrees()
+            assert g.m == twin.m
+            for u, v in itertools.product(g.vertices, repeat=2):
+                assert g.multiplicity(u, v) == twin.multiplicity(u, v)
+            assert g.simple() is g
+            assert twin.simple() == g
+
+    def test_multiplicity_range_checked(self):
+        g = SimpleGraph(3, [(0, 1)])
+        twin = MultiGraph(3, [(0, 1, 1)])
+        for h in (g, twin):
+            with pytest.raises(ValueError):
+                h.multiplicity(0, 3)
+            with pytest.raises(ValueError):
+                h.multiplicity(-1, 0)
 
 
 class TestGraph6:
@@ -224,6 +252,25 @@ class TestBlockDecomposition:
                 rest = [v for v in g.vertices if v != cut]
                 after = len(g.induced(rest).connected_components())
                 assert after > before
+
+
+class TestBlockShape:
+    def test_small_shapes(self):
+        assert block_shape(SimpleGraph(1)) == "clique"
+        assert block_shape(SimpleGraph(2, [(0, 1)])) == "clique"
+        triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+        assert is_clique(triangle) and is_cycle_block(triangle)
+        assert block_shape(triangle) == "clique"
+        c4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert block_shape(c4) == "cycle" and not is_clique(c4)
+        diamond = SimpleGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        assert block_shape(diamond) is None
+
+    def test_against_networkx(self):
+        for G in atlas_connected(range(1, 7)):
+            g = from_nx(G)
+            for block in block_decomposition(g).blocks:
+                assert block_shape(g.induced(block)) == nx_block_kind(G, block)
 
 
 class TestCliques:

@@ -187,10 +187,41 @@ class TestRevalidateRow:
             graph6=emit_graph6(g),
             n=g.n,
             m=g.m,
+            deficit=2 * g.m - (3 * g.n + 3 - 2),
             witness_cover=cover_to_json_text(cover),
         )
         assert not revalidate_row(row)
         assert revalidate_row(dataclasses.replace(row, regime="partial"))
+
+    def test_witness_list_size_must_match_deficit(self, found):
+        # the twisted C4 is a critical 2-fold cover, not a k = 3 refutation
+        _, twisted = make_c4_covers()
+        g = twisted.base
+        row = dataclasses.replace(
+            found,
+            graph6=emit_graph6(g),
+            n=g.n,
+            m=g.m,
+            deficit=2 * g.m - (3 * g.n + 3 - 2),
+            witness_cover=cover_to_json_text(twisted),
+        )
+        assert not revalidate_row(row)
+        assert revalidate_row(dataclasses.replace(row, deficit=2 * g.m - (2 * g.n + 2 - 2)))
+
+    def test_nonuniform_witness_rejected(self, found):
+        # critical: the center's two colors each kill one leaf's only color
+        star = SimpleGraph(3, [(0, 1), (0, 2)])
+        cover = Cover(star, [2, 1, 1], {(0, 1): [(0, 0)], (0, 2): [(1, 0)]})
+        row = dataclasses.replace(
+            found,
+            graph6=emit_graph6(star),
+            n=3,
+            m=2,
+            regime="partial",
+            witness_cover=cover_to_json_text(cover),
+        )
+        for k in (1, 2):
+            assert not revalidate_row(dataclasses.replace(row, deficit=2 * 2 - (k * 3 + k - 2)))
 
     def test_unfound_row(self, found):
         clean = dataclasses.replace(found, critical_cover_found=False, witness_cover="")

@@ -1,0 +1,153 @@
+"""Property checks over generated covers on simple and multigraph bases."""
+
+import itertools
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpcolor import (
+    Cover,
+    MultiGraph,
+    SimpleGraph,
+    cover_from_json_text,
+    cover_to_json_text,
+    find_coloring,
+    is_colorable,
+    is_independent,
+    relabel_colors,
+    validate_cover,
+)
+
+from helpers import brute_force_colorings
+
+# small enough that brute force stays under a millisecond per cover
+MAX_N = 5
+MAX_SIZE = 3
+FEW = settings(max_examples=80, deadline=None)
+
+
+@st.composite
+def matchings(draw, a: int, b: int):
+    """A partial injection from the colors 0..a-1 into 0..b-1."""
+    rows = draw(st.lists(st.integers(0, a - 1), unique=True, max_size=min(a, b))) if a else []
+    cols = draw(st.permutations(range(b)))[: len(rows)]
+    return tuple(sorted(zip(rows, cols)))
+
+
+@st.composite
+def covers(draw, max_n: int = MAX_N):
+    """A valid cover of a simple graph or a multigraph, built through the constructor."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(0, MAX_SIZE))] * n
+    else:
+        sizes = draw(st.lists(st.integers(0, MAX_SIZE), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        mult = {e: draw(st.integers(1, 3)) for e in edges}
+        base = MultiGraph(n, [(u, v, t) for (u, v), t in mult.items()])
+        given_ = {
+            (u, v): [draw(matchings(sizes[u], sizes[v])) for _ in range(t)]
+            for (u, v), t in mult.items()
+        }
+        return Cover(base, sizes, given_)
+    given_ = {(u, v): draw(matchings(sizes[u], sizes[v])) for u, v in edges}
+    return Cover(SimpleGraph(n, edges), sizes, given_)
+
+
+@FEW
+@given(covers())
+def test_cover_json_round_trips_byte_for_byte(c):
+    text = cover_to_json_text(c)
+    back = cover_from_json_text(text)
+    assert back == c
+    assert cover_to_json_text(back) == text
+
+
+@FEW
+@given(st.data())
+def test_relabel_colors_keeps_colorability(data):
+    c = data.draw(covers())
+    perms = [data.draw(st.permutations(range(c.size(u)))) for u in range(c.n)]
+    relabeled = relabel_colors(c, perms)
+    assert is_colorable(relabeled) == is_colorable(c)
+    assert len(brute_force_colorings(relabeled)) == len(brute_force_colorings(c))
+
+
+# JSON values a mutation may plant; ints stay small so that a mutated vertex
+# count or list size cannot ask for a huge allocation
+scalars = st.none() | st.booleans() | st.integers(-3, 70) | st.floats(allow_nan=False)
+json_values = st.recursive(
+    scalars | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {k: _replace(v, rest, new) if k == head else v for k, v in value.items()}
+    return [_replace(v, rest, new) if i == head else v for i, v in enumerate(value)]
+
+
+@st.composite
+def mutated_documents(draw):
+    text = cover_to_json_text(draw(covers()))
+    if draw(st.booleans()):
+        # edit the text: delete, insert or overwrite one to three characters
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(text)))
+            ch = draw(st.sampled_from('{}[]",:-#0123456789ektn '))
+            how = draw(st.sampled_from(["delete", "insert", "replace"]))
+            if how == "insert":
+                text = text[:at] + ch + text[at:]
+            elif text:
+                at = min(at, len(text) - 1)
+                text = text[:at] + ("" if how == "delete" else ch) + text[at + 1 :]
+        return text
+    # edit the structure: replace one value, or add one key
+    data = json.loads(text)
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_paths(data))))
+        data = _replace(data, path, draw(json_values))
+    else:
+        key = draw(st.sampled_from(["k", "list_sizes", "graph6", "multigraph", "matchings"]))
+        data[key] = draw(json_values)
+    return json.dumps(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+def test_mutated_cover_json_raises_only_value_error(text):
+    try:
+        c = cover_from_json_text(text)
+    except ValueError:
+        return
+    assert validate_cover(c) is None
+
+
+@FEW
+@given(covers())
+def test_find_coloring_agrees_with_brute_force(c):
+    hits = brute_force_colorings(c)
+    got = find_coloring(c)
+    assert (got is None) == (not hits)
+    if got is not None:
+        assert is_independent(c, got)
+        assert tuple(got.pick(u) for u in range(c.n)) in hits

@@ -1,5 +1,6 @@
 """Exact decision procedures: coloring search, criticality, thresholds, enhancement."""
 
+import dataclasses
 from random import Random
 
 import pytest
@@ -377,6 +378,67 @@ class TestColorDegreeCover:
         ok = color_degree_cover(C4, straight)
         bad_coloring = dataclasses.replace(ok, coloring=PartialColoring({0: 0}))
         assert not certificate_is_valid(C4, straight, bad_coloring)
+
+    def bowtie(self):
+        # two triangles glued at the cut vertex 0; the center's colors split
+        # between the triangles, so no pick at 0 leaves either one colorable
+        g = SimpleGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+        c = cover_from_lists(g, [[0, 1, 2, 3], [0, 1], [0, 1], [2, 3], [2, 3]])
+        cert = color_degree_cover(g, c)
+        assert cert.blocks == (("clique", (0, 1, 2)), ("clique", (0, 3, 4)))
+        assert cert.cut_vertices == (0,)
+        assert cert.saturated_pairs == ((1, 2), (3, 4))
+        return g, c, cert
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"blocks": (("cycle", (0, 1, 2)), ("cycle", (0, 3, 4)))},
+            {"blocks": (("clique", (0, 3, 4)), ("cycle", (0, 1, 2)))},
+            {"saturated_pairs": ((3, 4), (1, 2))},
+        ],
+        ids=["triangles-as-cycles", "blocks-reordered", "pairs-reordered"],
+    )
+    def test_equivalent_certificates_accepted(self, change):
+        g, c, cert = self.bowtie()
+        assert certificate_is_valid(g, c, dataclasses.replace(cert, **change))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"blocks": (("path", (0, 1, 2)), ("clique", (0, 3, 4)))},
+            {"blocks": (("clique", (0, 1, 2)),)},
+            {"cut_vertices": ()},
+            {"cut_vertices": (0, 1)},
+            {"degree_tight": False},
+            {"degree_tight": None},
+            {"degree_tight": 1},
+            {"saturated_pairs": ((3, 4),)},
+            {"saturated_pairs": ((1, 2), (3, 4), (0, 1))},
+        ],
+        ids=[
+            "unknown-kind",
+            "block-missing",
+            "cut-dropped",
+            "cut-added",
+            "not-tight",
+            "tight-none",
+            "tight-truthy",
+            "pair-dropped",
+            "pair-added",
+        ],
+    )
+    def test_tampered_bowtie_certificates_rejected(self, change):
+        g, c, cert = self.bowtie()
+        assert certificate_is_valid(g, c, cert)
+        assert not certificate_is_valid(g, c, dataclasses.replace(cert, **change))
+
+    def test_k4_certified_as_cycle_rejected(self):
+        g = self.k4()
+        c = identity_cover(g, 3)
+        cert = color_degree_cover(g, c)
+        as_cycle = dataclasses.replace(cert, blocks=(("cycle", (0, 1, 2, 3)),))
+        assert not certificate_is_valid(g, c, as_cycle)
 
     def test_certificate_rejected_for_wrong_cover(self):
         straight, twisted = make_c4_covers()
