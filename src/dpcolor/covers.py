@@ -12,9 +12,13 @@ are their union.
 ``enumerate_covers`` walks every k-fold cover of a connected simple
 graph in one of two regimes:
 
-* ``"perfect"``: every matching is a full bijection.  Per-vertex color
-  relabelings are factored out by pinning the identity on the edges of a
-  fixed spanning tree, leaving (k!)^(m-n+1) covers.
+* ``"perfect"``: every matching is a full bijection.  Pinning the
+  identity on the edges of a fixed spanning tree leaves (k!)^(m-n+1)
+  covers and factors out every per-vertex relabeling but one: the same
+  relabeling sigma at every vertex, which sends each matching pi to
+  sigma pi sigma^-1 and keeps the tree's identity.  An orbit of these k!
+  relabelings can still appear up to k! times; the solver's walk decides
+  one cover per orbit.
 * ``"partial"``: every edge independently ranges over all partial
   injections of [k], with no relabeling reduction, giving P(k)^m covers
   where P(k) = sum_r C(k,r)^2 r!.
@@ -36,6 +40,7 @@ from .graphs import (
     BaseGraph,
     SimpleGraph,
     emit_graph6,
+    is_json_int,
     multigraph_from_json,
     parse_graph6,
 )
@@ -70,14 +75,13 @@ def conflict_rows(
 
 def _normalize_matching(pairs: Iterable, e: tuple[int, int], s: int, count: int) -> Matching:
     """Sorted int pairs of slot s of the pair e, which has count slots."""
-    out = []
-    for p in pairs:
-        p = tuple(p)
-        if len(p) != 2 or not all(isinstance(x, int) for x in p):
-            where = f"edge {e}" + (f" slot {s}" if count > 1 else "")
-            raise ValueError(f"{where}: matching pair {p!r} is not a pair of ints")
-        out.append((p[0], p[1]))
-    out.sort()
+    try:
+        out = sorted((i, j) for i, j in pairs)
+    except (TypeError, ValueError):
+        out = None  # not iterable, an entry not a pair, or mixed types
+    if out is None or not all(is_json_int(i) and is_json_int(j) for i, j in out):
+        where = f"edge {e}" + (f" slot {s}" if count > 1 else "")
+        raise ValueError(f"{where}: matching {pairs!r} is not a list of int pairs")
     return tuple(out)
 
 
@@ -117,11 +121,17 @@ class Cover:
             (u, v): ((),) * t for u, v, t in base.pairs()
         }
         for key, value in matchings.items():
-            u, v = key
-            e = (u, v) if u < v else (v, u)
+            try:
+                u, v = key
+                e = (u, v) if u < v else (v, u)
+            except (TypeError, ValueError):
+                raise ValueError(f"matching key {key!r} is not a vertex pair") from None
             if e not in slots:
                 raise ValueError(f"matching key {key!r} is not an edge of the base graph")
-            given = (value,) if bare else list(value)
+            try:
+                given = (value,) if bare else list(value)
+            except TypeError:
+                raise ValueError(f"edge {e}: {value!r} is not a list of matchings") from None
             if len(given) != len(slots[e]):
                 raise ValueError(
                     f"edge {e} has multiplicity {len(slots[e])} but {len(given)} matchings given"
@@ -417,11 +427,12 @@ def cover_choices(g: SimpleGraph, k: int, regime: str) -> EdgeChoices:
 def enumerate_covers(g: SimpleGraph, k: int, regime: str) -> Iterator[Cover]:
     """Yield every k-fold cover of a connected graph, deterministically.
 
-    Perfect regime: matchings are full bijections; a spanning tree is
-    pinned to the identity so each cover appears once per relabeling
-    orbit.  Partial regime: every edge ranges over all partial
-    injections, with no reduction.  Bad arguments raise on the call,
-    before the first cover.
+    Perfect regime: matchings are full bijections, and a spanning tree
+    is pinned to the identity.  Every cover up to per-vertex relabeling
+    appears, but a global relabeling's orbit can appear up to k! times.
+    Partial regime: every edge ranges over all partial injections, with
+    no reduction.  Bad arguments raise on the call, before the first
+    cover.
     """
     choices = cover_choices(g, k, regime)
     edges = [e for e, _ in choices]
@@ -495,12 +506,12 @@ def cover_from_json(data: Mapping) -> Cover:
         raise ValueError("cover JSON needs a 'graph6' or 'multigraph' entry")
     if "k" in data:
         k = data["k"]
-        if not isinstance(k, int) or k < 0:
+        if not is_json_int(k) or k < 0:
             raise ValueError(f"invalid k: {k!r}")
         sizes = [k] * base.n
     elif "list_sizes" in data:
         sizes = data["list_sizes"]
-        if not isinstance(sizes, list) or not all(isinstance(s, int) for s in sizes):
+        if not isinstance(sizes, list) or not all(is_json_int(s) for s in sizes):
             raise ValueError(f"list_sizes must be a list of ints, got {sizes!r}")
     else:
         raise ValueError("cover JSON needs a 'k' or 'list_sizes' entry")
@@ -530,12 +541,8 @@ def cover_from_json(data: Mapping) -> Cover:
         if (u, v, slot) in seen:
             raise ValueError(f"matching key {key!r}: slot given twice")
         seen.add((u, v, slot))
-        try:
-            # Cover rejects any entry that is not a pair of ints
-            matching = tuple(tuple(p) for p in pairs)
-        except TypeError:
-            raise ValueError(f"matching {key!r} must be a list of [i, j] int pairs") from None
-        slots.setdefault((u, v), [()] * mult[(u, v)])[slot] = matching
+        # Cover rejects any matching that is not a list of int pairs
+        slots.setdefault((u, v), [()] * mult[(u, v)])[slot] = pairs
 
     cover = Cover.from_slots(base, sizes, slots)
     problem = validate_cover(cover)
@@ -572,9 +579,8 @@ def coloring_from_json_text(text: str) -> PartialColoring | None:
         raise ValueError(f"invalid coloring JSON: {exc}") from None
     if data is None:
         return None
-    # bool is an int subclass, but JSON true/false are not vertex or color indices
     if not isinstance(data, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in data
+        isinstance(p, list) and len(p) == 2 and all(is_json_int(x) for x in p) for p in data
     ):
         raise ValueError(f"coloring JSON must be null or a list of [v, i] int pairs, got {data!r}")
     return PartialColoring([(v, i) for v, i in data])

@@ -214,6 +214,11 @@ class MultiGraph:
 BaseGraph = Union[SimpleGraph, MultiGraph]
 
 
+def is_json_int(x: object) -> bool:
+    """An integer as JSON gives one: bool is an int subclass, but true/false are not numbers."""
+    return type(x) is int
+
+
 def multigraph_from_json(data: object) -> MultiGraph:
     """Build a multigraph from ``{"n": n, "edges": [[u, v, mult], ...]}``.
 
@@ -222,10 +227,10 @@ def multigraph_from_json(data: object) -> MultiGraph:
     edges = data.get("edges") if isinstance(data, Mapping) else None
     if (
         not isinstance(data, Mapping)
-        or not isinstance(data.get("n"), int)
+        or not is_json_int(data.get("n"))
         or not isinstance(edges, (list, tuple))
         or not all(
-            isinstance(e, (list, tuple)) and len(e) == 3 and all(isinstance(x, int) for x in e)
+            isinstance(e, (list, tuple)) and len(e) == 3 and all(is_json_int(x) for x in e)
             for e in edges
         )
     ):

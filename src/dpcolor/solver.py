@@ -8,19 +8,22 @@ in ascending order, and pruning a neighbor's color the moment a
 matching pair joins it to the current pick.  All answers are exact;
 instances are expected to be desk scale (n at most about 13).
 
-Walking every cover of a graph (``cover_colorings``,
+Walking the covers of a graph (``cover_colorings``,
 ``first_critical_cover``) compiles the graph once and steps an odometer
 over the per-edge matching choices in ``enumerate_covers`` order,
-rewriting only the tables of the edges whose choice changed.  Before
-searching, the previous cover's coloring is checked against those edges
-alone; if it survives, it proves the new cover colorable.
+rewriting only the tables of the edges whose choice changed.  In the
+perfect regime it steps only through the least member of each orbit of
+the global relabelings (orderly generation: a digit is skipped when a
+relabeling fixing the earlier digits lowers it).  Before searching, the
+previous cover's coloring is checked against the changed edges alone;
+if it survives, it proves the new cover colorable.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .covers import (
@@ -185,15 +188,33 @@ def is_critical(c: Cover) -> bool:
     return _survives_every_deletion(c.conflict_tables(), c.list_size)
 
 
-def _walk(
-    n: int, k: int, choices: EdgeChoices
-) -> Iterator[tuple[Optional[tuple[int, ...]], ConflictTables, list[int]]]:
-    """Decide every k-fold cover of the choice product on n vertices, last edge fastest.
+def _relabelings(k: int, choices: EdgeChoices, regime: str) -> list[list[int]]:
+    """conj[s][d]: the choice index that relabeling s sends choice d of a moving edge to.
 
-    Yields, per cover, a coloring (one pick per vertex) or None, the
-    live conflict tables, and the choice index of every edge; tables and
-    indices are only valid until the next step.
+    Perfect regime: s runs over the k! global relabelings sigma in
+    ``permutations(range(k))`` order, acting on every edge at once by
+    pi -> sigma pi sigma^-1, which keeps the pinned tree's identity.
+    Partial regime: the identity alone, so each cover is its own orbit.
     """
+    options = next((opts for _, opts in choices if len(opts) > 1), ())
+    index = {m: d for d, m in enumerate(options)}
+    sigmas = permutations(range(k)) if regime == "perfect" else [tuple(range(k))]
+    return [[index[tuple(sorted((s[i], s[j]) for i, j in m))] for m in options] for s in sigmas]
+
+
+def _walk(
+    n: int, k: int, choices: EdgeChoices, regime: str
+) -> Iterator[tuple[Optional[tuple[int, ...]], ConflictTables, list[int], int]]:
+    """Decide one cover per orbit of the regime's relabelings, in cover order.
+
+    Steps an odometer over the choice product on n vertices, last edge
+    fastest, through the covers that are the least member of their
+    orbit.  Yields, per such cover, a coloring (one pick per vertex) or
+    None, the live conflict tables, the choice index of every edge, and
+    the orbit size; tables and indices are only valid until the next
+    step.
+    """
+    conj = _relabelings(k, choices, regime)
     edges = [e for e, _ in choices]
     rows = [[conflict_rows((m,), k, k) for m in options] for _, options in choices]
     conf: ConflictTables = [{} for _ in range(n)]
@@ -201,6 +222,30 @@ def _walk(
         conf[u][v], conf[v][u] = edge_rows[0]
     digits = [0] * len(choices)
     moving = [p for p, (_, options) in enumerate(choices) if len(options) > 1]
+    radix = len(conj[0])
+    # a subgroup of relabelings, by id: its members, the least digit
+    # above each that none of them lowers, and the subgroup fixing each
+    groups: list[tuple[int, ...]] = []
+    ids: dict[tuple[int, ...], int] = {}
+    succ: list[list[int]] = []
+    fixers: list[dict[int, int]] = []
+
+    def subgroup(members: tuple[int, ...]) -> int:
+        if members not in ids:
+            ids[members] = len(groups)
+            groups.append(members)
+            up, nxt = [radix] * radix, radix
+            for d in range(radix - 1, -1, -1):
+                up[d] = nxt
+                if all(conj[s][d] >= d for s in members):
+                    nxt = d
+            succ.append(up)
+            fixers.append({})
+        return ids[members]
+
+    # stab[j]: the subgroup fixing the first j moving digits; digit 0 is
+    # fixed by all, so a tail of zeros keeps the stabilizer
+    stab = [subgroup(tuple(range(len(conj))))] * (len(moving) + 1)
     full = (1 << k) - 1
     stats = SearchStats()
     coloring: Optional[tuple[int, ...]] = None
@@ -211,15 +256,20 @@ def _walk(
         ):
             found = _search(conf, [full] * n, range(n), stats)
             coloring = None if found is None else tuple(found[u] for u in range(n))
-        yield coloring, conf, digits
+        yield coloring, conf, digits, len(conj) // len(groups[stab[-1]])
         for at in range(len(moving) - 1, -1, -1):
             p = moving[at]
-            digits[p] += 1
-            if digits[p] < len(rows[p]):
+            d = succ[stab[at]][digits[p]]
+            if d < radix:
+                digits[p] = d
                 break
             digits[p] = 0
         else:
             return
+        h = stab[at]
+        if d not in fixers[h]:
+            fixers[h][d] = subgroup(tuple(s for s in groups[h] if conj[s][d] == d))
+        stab[at + 1 :] = [fixers[h][d]] * (len(moving) - at)
         changed = []
         for p in moving[at:]:
             u, v = edges[p]
@@ -227,31 +277,45 @@ def _walk(
             changed.append((u, v))
 
 
-def cover_colorings(g: SimpleGraph, k: int, regime: str) -> Iterator[Optional[tuple[int, ...]]]:
-    """A coloring of each cover of ``enumerate_covers(g, k, regime)``, in order.
+def cover_colorings(
+    g: SimpleGraph, k: int, regime: str
+) -> Iterator[tuple[Optional[tuple[int, ...]], int]]:
+    """A coloring and the orbit size of each orbit representative of the covers.
 
-    Each is a tuple holding the pick of every vertex, or None where the
-    cover is uncolorable.  A coloring carried over from the previous
-    cover may differ from what ``find_coloring`` would return.
+    In the perfect regime the k! global relabelings sigma, acting on
+    every non-tree matching at once by pi -> sigma pi sigma^-1, keep
+    colorability; the walk decides only the least member of each orbit
+    in ``enumerate_covers(g, k, regime)`` order, and the orbit sizes sum
+    to ``count_covers``.  The partial regime is not reduced: every cover
+    comes with orbit size 1.  A coloring is a tuple holding the pick of
+    every vertex of the representative, or None where it is
+    uncolorable; one carried over from the previous representative may
+    differ from what ``find_coloring`` would return.
     """
-    walk = _walk(g.n, k, cover_choices(g, k, regime))
-    return (coloring for coloring, _, _ in walk)
+    walk = _walk(g.n, k, cover_choices(g, k, regime), regime)
+    return ((coloring, size) for coloring, _, _, size in walk)
 
 
 def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Optional[Cover]]:
     """The first critical cover of ``enumerate_covers(g, k, regime)``.
 
-    Returns how many covers were examined, the critical one included,
-    and that cover, or None once every cover has been examined.
+    Returns the cover's position in that order, counted from 1, and the
+    cover; or the number of covers, ``count_covers(g, k, regime)``, and
+    None when none is critical.  Relabelings keep criticality, so the
+    first critical cover is the least of its orbit, and only orbit
+    representatives are decided (see ``cover_colorings``).
     """
     choices = cover_choices(g, k, regime)
     sizes = [k] * g.n
     examined = 0
-    for coloring, conf, digits in _walk(g.n, k, choices):
-        examined += 1
+    for coloring, conf, digits, size in _walk(g.n, k, choices, regime):
         if coloring is None and _survives_every_deletion(conf, sizes):
+            rank = 0
+            for (_, options), d in zip(choices, digits):
+                rank = rank * len(options) + d
             picked = {e: options[d] for (e, options), d in zip(choices, digits)}
-            return examined, Cover(g, sizes, picked)
+            return rank + 1, Cover(g, sizes, picked)
+        examined += size
     return examined, None
 
 
@@ -262,7 +326,7 @@ def _chi_dp_connected(g: SimpleGraph, max_k: Optional[int]) -> int:
     # needs no enumeration
     cap = hi if max_k is None else min(hi, max_k + 1)
     for k in range(lo, cap):
-        if all(p is not None for p in cover_colorings(g, k, "perfect")):
+        if all(p is not None for p, _ in cover_colorings(g, k, "perfect")):
             return k
     if max_k is not None and hi > max_k:
         raise ValueError(f"threshold exceeds max_k={max_k}")
@@ -276,8 +340,9 @@ def chi_dp(g: SimpleGraph, max_k: Optional[int] = None) -> int:
     full-bijection covers with a spanning tree pinned to the identity:
     completing partial matchings never turns an uncolorable cover
     colorable, and per-vertex relabelings preserve colorability, so
-    these covers decide every level.  Disconnected graphs take the
-    maximum over components.
+    these covers decide every level.  Of those, only one cover per orbit
+    of the global relabelings is decided (see ``cover_colorings``).
+    Disconnected graphs take the maximum over components.
     """
     if g.n < 1:
         raise ValueError("threshold undefined for the empty graph")

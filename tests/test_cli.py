@@ -72,6 +72,9 @@ class TestSolve:
             '{"multigraph":{"n":2},"k":2}',
             '{"graph6":"Cl","k":2,"matchings":{"0-1":5}}',
             '{"graph6":"Cl","k":2,"matchings":[1]}',
+            '{"graph6":"A_","k":true}',
+            '{"graph6":"A_","k":2,"matchings":{"0-1":[[true,0]]}}',
+            '{"multigraph":{"n":3,"edges":[[0,true,2]]},"k":2}',
         ],
     )
     def test_malformed_cover_exits_1(self, tmp_path, capsys, doc):
@@ -152,7 +155,13 @@ class TestRecognize:
         assert main(["recognize", "--what", "brick", "--k", "3"]) == 1
 
     def test_brick_malformed_multigraph_exits_1(self, capsys):
-        for doc in ('{"n":3}', "[3]", '{"n":3,"edges":[[0,1]]}'):
+        for doc in (
+            '{"n":3}',
+            "[3]",
+            '{"n":3,"edges":[[0,1]]}',
+            '{"n":true,"edges":[]}',
+            '{"n":3,"edges":[[0,1,true]]}',
+        ):
             assert main(["recognize", "--what", "brick", "--multigraph", doc, "--k", "3"]) == 1
             assert capsys.readouterr().err.startswith("error: ")
 

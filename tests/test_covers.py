@@ -29,6 +29,7 @@ from dpcolor import (
 )
 from dpcolor.construct import make_c4_covers, make_ks_example
 from dpcolor.covers import coloring_from_json_text, coloring_to_json_text, is_full_matching
+from dpcolor.graphs import multigraph_from_json
 
 from helpers import (
     brute_force_colorings,
@@ -96,6 +97,25 @@ class TestCoverConstruction:
         assert Cover.from_slots(g, [2, 2], {(1, 0): [[(0, 0)], [(1, 1)]]}) == listed
         with pytest.raises(ValueError):  # C4 has no parallel edges
             Cover.from_slots(C4, [2] * 4, {(0, 1): [[(0, 1)], [(1, 0)]]})
+
+    @pytest.mark.parametrize(
+        "base, matchings",
+        [
+            (SimpleGraph(2, [(0, 1)]), {(0, 1): [0, 1]}),
+            (SimpleGraph(2, [(0, 1)]), {(0, 1): 5}),
+            (SimpleGraph(2, [(0, 1)]), {(0, 1): [(0,)]}),
+            (SimpleGraph(2, [(0, 1)]), {(0, 1): [(0, 1, 2)]}),
+            (SimpleGraph(2, [(0, 1)]), {(0, 1): [(0, 1), ("a", 0)]}),
+            (SimpleGraph(2, [(0, 1)]), {(0, 1): [(True, 0)]}),
+            (SimpleGraph(2, [(0, 1)]), {5: [(0, 1)]}),
+            (SimpleGraph(2, [(0, 1)]), {(0, 1, 2): [(0, 1)]}),
+            (MultiGraph(2, [(0, 1, 2)]), {(0, 1): 5}),
+            (MultiGraph(2, [(0, 1, 2)]), {(0, 1): [[(0, 0)], [1]]}),
+        ],
+    )
+    def test_malformed_matchings_raise_value_error(self, base, matchings):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\)|matching key"):
+            Cover(base, [2, 2], matchings)
 
     def test_rejects_wrong_size_vector(self):
         with pytest.raises(ValueError):
@@ -457,6 +477,37 @@ class TestJson:
     def test_malformed_shapes_raise_value_error(self, doc):
         with pytest.raises(ValueError):
             cover_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"graph6":"A_","k":true}',
+            '{"graph6":"A_","k":false}',
+            '{"graph6":"A_","list_sizes":[true,2]}',
+            '{"graph6":"A_","k":2,"matchings":{"0-1":[[true,0]]}}',
+            '{"graph6":"A_","k":2,"matchings":{"0-1":[[0,false]]}}',
+            '{"multigraph":{"n":true,"edges":[]},"k":1}',
+            '{"multigraph":{"n":3,"edges":[[0,true,2]]},"k":2}',
+            '{"multigraph":{"n":3,"edges":[[false,1,2]]},"k":2}',
+            '{"multigraph":{"n":2,"edges":[[0,1,true]]},"k":2}',
+            '{"multigraph":{"n":2,"edges":[[0,1,1]]},"k":2,"matchings":{"0-1":[[0,true]]}}',
+        ],
+    )
+    def test_json_booleans_are_not_ints(self, text):
+        with pytest.raises(ValueError):
+            cover_from_json_text(text)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "edges": []},
+            {"n": 3, "edges": [[0, True, 2]]},
+            {"n": 2, "edges": [[0, 1, True]]},
+        ],
+    )
+    def test_multigraph_json_booleans_are_not_ints(self, doc):
+        with pytest.raises(ValueError):
+            multigraph_from_json(doc)
 
     def test_coloring_serialization(self):
         assert coloring_to_json_text(None) == "null"

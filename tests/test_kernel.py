@@ -2,11 +2,15 @@
 
 ``cover_colorings`` and ``first_critical_cover`` decide covers on
 conflict tables rewritten in place, reusing the previous cover's
-coloring where it survives.  Every verdict and every reported coloring
-is checked here against an independent route over the public covers of
-``enumerate_covers``, which walks the same order.
+coloring where it survives, and in the perfect regime decide only the
+least cover of each orbit of the global relabelings.  Every verdict and
+every reported coloring is checked here against an independent route
+over the public covers of ``enumerate_covers``, which walks the same
+order, with orbits found by relabeling every cover by brute force.
 """
 
+from collections import Counter
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -17,6 +21,7 @@ from dpcolor import (
     SimpleGraph,
     candidate_filter,
     count_covers,
+    cover_choices,
     cover_colorings,
     enumerate_covers,
     first_critical_cover,
@@ -24,9 +29,11 @@ from dpcolor import (
     is_colorable,
     is_critical,
     is_independent,
+    parse_graph6,
     relabel_colors,
 )
 from dpcolor.construct import make_c4_covers
+from dpcolor.solver import _walk
 
 from helpers import (
     atlas_connected,
@@ -46,16 +53,141 @@ def criterion06_candidate(n: int) -> SimpleGraph:
     return next(g for g in pool if candidate_filter(g, 3) is None)
 
 
+def relabelings(k: int, regime: str) -> list[tuple[int, ...]]:
+    """The global relabelings the walk reduces by: all of S_k when a tree is pinned."""
+    return list(permutations(range(k))) if regime == "perfect" else [tuple(range(k))]
+
+
+def rank(choices, digits) -> int:
+    """Position of a choice-index tuple in enumerate_covers order (product order)."""
+    out = 0
+    for (_, options), d in zip(choices, digits):
+        out = out * len(options) + d
+    return out
+
+
+def brute_force_orbits(g: SimpleGraph, k: int, regime: str) -> list[tuple[int, tuple[int, ...]]]:
+    """Per cover of enumerate_covers, its orbit's least member and a relabeling onto it.
+
+    Every relabeling sigma is applied to every edge's matching, as the
+    pairs (sigma(i), sigma(j)), and the lexicographically least image
+    wins; returns its position and that sigma.
+    """
+    choices = cover_choices(g, k, regime)
+    where = [{m: d for d, m in enumerate(options)} for _, options in choices]
+    sigmas = relabelings(k, regime)
+    image = [
+        [[where[p][tuple(sorted((s[i], s[j]) for i, j in m))] for m in options] for s in sigmas]
+        for p, (_, options) in enumerate(choices)
+    ]
+    out = []
+    for digits in product(*(range(len(options)) for _, options in choices)):
+        least, s = min(
+            (tuple(image[p][t][d] for p, d in enumerate(digits)), t) for t in range(len(sigmas))
+        )
+        out.append((rank(choices, least), sigmas[s]))
+    return out
+
+
 def check_walk(g: SimpleGraph, k: int, regime: str, oracle) -> int:
-    """Walk verdicts equal the oracle's; every reported coloring is independent."""
-    walked = 0
-    for cover, coloring in zip(enumerate_covers(g, k, regime), cover_colorings(g, k, regime)):
-        walked += 1
+    """Every cover gets its orbit representative's verdict, and the oracle agrees.
+
+    The walk yields one (coloring, orbit size) per representative, in
+    cover order; ``brute_force_orbits`` names every cover's
+    representative.  Each cover of ``enumerate_covers`` is checked
+    against the oracle, and where its representative is colorable, that
+    coloring carried back by the relabeling must be independent in it.
+    """
+    covers = list(enumerate_covers(g, k, regime))
+    orbits = brute_force_orbits(g, k, regime)
+    reps = sorted({r for r, _ in orbits})
+    walked = list(cover_colorings(g, k, regime))
+    assert len(walked) == len(reps)
+    members = Counter(r for r, _ in orbits)
+    verdict = {}
+    for r, (coloring, size) in zip(reps, walked):
+        assert size == members[r]
+        verdict[r] = coloring
+    for cover, (r, sigma) in zip(covers, orbits):
+        coloring = verdict[r]
         assert (coloring is not None) == oracle(cover)
         if coloring is not None:
-            assert is_independent(cover, PartialColoring(enumerate(coloring)))
-    assert walked == count_covers(g, k, regime)
-    return walked
+            back = PartialColoring((u, sigma.index(i)) for u, i in enumerate(coloring))
+            assert is_independent(cover, back)
+    assert len(covers) == count_covers(g, k, regime) == sum(members.values())
+    return len(covers)
+
+
+def burnside(k: int, r: int) -> int:
+    """Orbits of S_k acting on r-tuples of permutations by simultaneous conjugation.
+
+    Burnside: the mean over sigma of the tuples it fixes, |C(sigma)|^r,
+    with each centralizer C(sigma) counted by brute force.
+    """
+    sigmas = list(permutations(range(k)))
+
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(k))
+
+    fixed = sum(sum(compose(s, p) == compose(p, s) for p in sigmas) ** r for s in sigmas)
+    assert fixed % len(sigmas) == 0
+    return fixed // len(sigmas)
+
+
+def cycle_rank(g: SimpleGraph) -> int:
+    return g.m - g.n + 1
+
+
+# a tree, C4, the triangle, K4 minus an edge, K4 and the 4-wheel: cycle ranks 0 to 4
+ORBIT_GRAPHS = [
+    SimpleGraph(4, [(0, 1), (1, 2), (1, 3)]),
+    C4,
+    SimpleGraph(3, [(0, 1), (1, 2), (0, 2)]),
+    SimpleGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    SimpleGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (1, 4)]),
+]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("g", ORBIT_GRAPHS, ids=lambda g: f"r{cycle_rank(g)}")
+def test_walk_decides_the_least_member_of_each_orbit(g, k):
+    # relabel every public cover by every global sigma; the walk's covers
+    # must be exactly the orbits' least members, with their orbit sizes
+    covers = list(enumerate_covers(g, k, "perfect"))
+    index = {c: i for i, c in enumerate(covers)}
+    orbit_of = [
+        frozenset(index[relabel_colors(c, [s] * g.n)] for s in permutations(range(k)))
+        for c in covers
+    ]
+    least = {min(orbit): len(orbit) for orbit in orbit_of}
+    choices = cover_choices(g, k, "perfect")
+    got = {rank(choices, digits): size for _, _, digits, size in _walk(g.n, k, choices, "perfect")}
+    assert got == least
+    assert list(got) == sorted(got)  # in enumerate_covers order
+
+
+@pytest.mark.parametrize(
+    "g6, k",
+    [("Dl{", 3), ("G}GOW[", 3), ("C~", 4), ("EtTg", 2), ("Dl{", 4)],
+)
+def test_orbit_counts_follow_burnside(g6, k):
+    g = parse_graph6(g6)
+    sizes = [size for _, size in cover_colorings(g, k, "perfect")]
+    assert len(sizes) == burnside(k, cycle_rank(g))
+    assert sum(sizes) == count_covers(g, k, "perfect")
+
+
+def test_burnside_counts_for_k3():
+    # 251 orbits instead of 6^4 = 1,296 covers, 1,393 instead of 7,776
+    assert (burnside(3, 4), burnside(3, 5)) == (251, 1393)
+    assert burnside(2, 5) == 2**5  # S_2 is abelian: every orbit is one cover
+
+
+def test_partial_regime_is_not_reduced():
+    for g in small_graphs(6100):
+        sizes = [size for _, size in cover_colorings(g, 2, "partial")]
+        assert sizes == [1] * count_covers(g, 2, "partial")
 
 
 # picks of every vertex (or None) and nodes expanded, for the first covers
@@ -127,7 +259,7 @@ def test_walk_matches_reference_solver_in_partial_regime():
     uncolorable = 0
     for g in small_graphs(5150):
         check_walk(g, 2, "partial", is_colorable)
-        uncolorable += sum(p is None for p in cover_colorings(g, 2, "partial"))
+        uncolorable += sum(p is None for p, _ in cover_colorings(g, 2, "partial"))
     assert uncolorable > 0  # the failing side is exercised
 
 
@@ -145,6 +277,33 @@ def test_first_critical_cover_matches_reference_in_partial_regime():
         assert got == reference_first_critical(g, 2, "partial")
         found += got[1] is not None
     assert found >= 2  # C4 and the triangle have critical partial covers
+
+
+# the first critical 3-fold cover of each sits deep in enumerate_covers order
+DEEP_WITNESSES = {"Dn{": 4918, "E^NG": 653, "EyUw": 22}
+# the criterion-06 candidates on at most 6 vertices, and the 3-Dirac
+# graph the sweep keeps under include_dirac (witness at the first cover)
+CRITERION06_SMALL = ["Dl{", "EtTg", "ElUg", "F{cZG"]
+
+
+@pytest.mark.parametrize("g6", [*DEEP_WITNESSES, *CRITERION06_SMALL])
+def test_first_critical_cover_matches_reference_in_perfect_regime(g6):
+    g = parse_graph6(g6)
+    got = first_critical_cover(g, 3, "perfect")
+    assert got == reference_first_critical(g, 3, "perfect")
+    if g6 in DEEP_WITNESSES:
+        assert got[0] == DEEP_WITNESSES[g6]
+
+
+def test_first_critical_cover_matches_reference_at_k2():
+    rng = Random(8128)
+    found = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(3, 7), extra_p=0.4)
+        got = first_critical_cover(g, 2, "perfect")
+        assert got == reference_first_critical(g, 2, "perfect")
+        found += got[1] is not None
+    assert found > 0  # some random graph has a critical 2-fold cover
 
 
 def test_first_critical_cover_on_c4_is_the_twisted_cover():

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from dpcolor import (
     Cover,
+    Graph6Error,
     MultiGraph,
     SimpleGraph,
     cover_from_json_text,
     cover_to_json_text,
+    emit_graph6,
     find_coloring,
     is_colorable,
     is_independent,
+    parse_graph6,
     relabel_colors,
     validate_cover,
 )
@@ -140,6 +143,8 @@ def test_mutated_cover_json_raises_only_value_error(text):
     except ValueError:
         return
     assert validate_cover(c) is None
+    assert all(type(s) is int for s in c.list_size)  # JSON true/false are not sizes
+    assert cover_from_json_text(cover_to_json_text(c)) == c
 
 
 @FEW
@@ -151,3 +156,46 @@ def test_find_coloring_agrees_with_brute_force(c):
     if got is not None:
         assert is_independent(c, got)
         assert tuple(got.pick(u) for u in range(c.n)) in hits
+
+
+@st.composite
+def simple_graphs(draw, max_n: int = 62):
+    """Any simple graph graph6's short form can carry (n <= 62)."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return SimpleGraph(n)
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=40))
+    return SimpleGraph(n, pairs)
+
+
+@st.composite
+def graph6_like(draw):
+    """Text near graph6: a header, a payload of about the right length, optional frame."""
+    n = draw(st.integers(0, 64))
+    size = (n * (n - 1) // 2 + 5) // 6 + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    low, high = draw(st.sampled_from([(63, 126), (63, 126), (56, 130)]))
+    chars = st.characters(min_codepoint=low, max_codepoint=high)
+    body = draw(st.text(chars, min_size=max(size, 0), max_size=max(size, 0)))
+    prefix = draw(st.sampled_from(["", ">>graph6<<", " "]))
+    return prefix + chr(n + 63) + body + draw(st.sampled_from(["", "\n", " \t"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=12), graph6_like()))
+def test_any_string_parses_or_raises_graph6_error(text):
+    try:
+        g = parse_graph6(text)
+    except Graph6Error:
+        return
+    assert isinstance(g, SimpleGraph)
+    # a string that parses is already the canonical encoding of its graph
+    assert emit_graph6(g) == text.strip().removeprefix(">>graph6<<")
+
+
+@FEW
+@given(simple_graphs())
+def test_graph6_round_trips(g):
+    text = emit_graph6(g)
+    assert parse_graph6(text) == g
+    assert parse_graph6(f">>graph6<<{text}\n") == g
