@@ -40,7 +40,6 @@ from .covers import (
     partial_injections,
     relabel_colors,
     residual_list,
-    validate_cover,
 )
 from .solver import (
     GDPCertificate,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from itertools import islice
@@ -73,24 +72,24 @@ def _cmd_chi_dp(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
+    brick = args.what == "brick"
+    if args.what in ("dirac", "brick") and args.k is None:
+        raise ValueError(f"recognize {args.what} requires --k")
+    if brick and args.multigraph is not None:
+        g = multigraph_from_json(json.loads(args.multigraph))
+    elif args.graph is not None:
+        g = parse_graph6(args.graph)
+    else:
+        also = " or --multigraph" if brick else ""
+        raise ValueError(f"recognize {args.what} requires --graph{also}")
     if args.what == "gallai":
-        print(_bool_text(is_gallai_forest(parse_graph6(args.graph))))
+        print(_bool_text(is_gallai_forest(g)))
     elif args.what == "gdp":
-        print(_bool_text(is_gdp_forest(parse_graph6(args.graph))))
+        print(_bool_text(is_gdp_forest(g)))
     elif args.what == "dirac":
-        if args.k is None:
-            raise ValueError("recognize dirac requires --k")
-        witness = recognize_dirac(parse_graph6(args.graph), args.k)
+        witness = recognize_dirac(g, args.k)
         print("null" if witness is None else json.dumps(witness.to_json()))
     else:  # brick
-        if args.k is None:
-            raise ValueError("recognize brick requires --k")
-        if args.multigraph:
-            g = multigraph_from_json(json.loads(args.multigraph))
-        elif args.graph:
-            g = parse_graph6(args.graph)
-        else:
-            raise ValueError("recognize brick requires --graph or --multigraph")
         witness = find_brick(g, args.k, allow_submultiplicity=not args.exact_multiplicity)
         print("null" if witness is None else json.dumps(witness.to_json()))
     return 0
@@ -123,13 +122,10 @@ def _cmd_enumerate_covers(args) -> int:
 
 
 def _cmd_verify_dirac(args) -> int:
-    max_n = args.max_n
-    if max_n is None and os.environ.get("DPCOLOR_MAX_N"):
-        max_n = int(os.environ["DPCOLOR_MAX_N"])
     cfg = SweepConfig(
         k=args.k,
         regime=args.regime,
-        max_n=max_n,
+        max_n=args.max_n,
         parallelism=args.jobs,
         include_dirac=args.include_dirac,
     )
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=None,
-        help="vertex cap per graph (default per k; DPCOLOR_MAX_N overrides)",
+        help="vertex cap per graph (default per k)",
     )
     p.add_argument(
         "--include-dirac",

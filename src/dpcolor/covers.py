@@ -25,8 +25,7 @@ graph in one of two regimes:
 
 For search, a cover is compiled to conflict tables: ``conf[u][v][i]`` is
 the bitmask of the colors of v matched to color i of u, the union over
-parallel edges.  Bit j stands for color j; pairs naming a color outside
-an endpoint's list are left out, as no coloring can pick that color.
+parallel edges.  Bit j stands for color j.
 """
 
 from __future__ import annotations
@@ -67,21 +66,45 @@ def conflict_rows(
     bwd = [0] * size_v
     for slot in slots:
         for i, j in slot:
-            if 0 <= i < size_u and 0 <= j < size_v:
-                fwd[i] |= 1 << j
-                bwd[j] |= 1 << i
+            fwd[i] |= 1 << j
+            bwd[j] |= 1 << i
     return fwd, bwd
 
 
-def _normalize_matching(pairs: Iterable, e: tuple[int, int], s: int, count: int) -> Matching:
-    """Sorted int pairs of slot s of the pair e, which has count slots."""
+def _normalize_matching(
+    pairs: Iterable, e: tuple[int, int], s: int, count: int, sizes: Sequence[int], flip: bool
+) -> Matching:
+    """Slot s of the pair e = (u, v), which has count slots, as sorted (i, j) pairs.
+
+    Each i must be a color of u and each j a color of v, and no color may
+    be matched twice.  With flip set the given pairs read (j, i).
+    """
+    u, v = e
+    size_u, size_v = sizes[u], sizes[v]
+    problem = None
     try:
-        out = sorted((i, j) for i, j in pairs)
-    except (TypeError, ValueError):
-        out = None  # not iterable, an entry not a pair, or mixed types
-    if out is None or not all(is_json_int(i) and is_json_int(j) for i, j in out):
+        out = sorted((j, i) if flip else (i, j) for i, j in pairs)
+    except (TypeError, ValueError):  # not iterable, an entry not a pair, or mixed types
+        out, problem = [], f"matching {pairs!r} is not a list of int pairs"
+    used_u = used_v = 0
+    for i, j in out:
+        if not (is_json_int(i) and is_json_int(j)):
+            problem = f"matching {pairs!r} is not a list of int pairs"
+        elif not 0 <= i < size_u:
+            problem = f"pair {(i, j)} has no color {i} at vertex {u}"
+        elif not 0 <= j < size_v:
+            problem = f"pair {(i, j)} has no color {j} at vertex {v}"
+        elif used_u >> i & 1:
+            problem = f"pair {(i, j)} matches color {i} of vertex {u} twice"
+        elif used_v >> j & 1:
+            problem = f"pair {(i, j)} matches color {j} of vertex {v} twice"
+        if problem is not None:
+            break
+        used_u |= 1 << i
+        used_v |= 1 << j
+    if problem is not None:
         where = f"edge {e}" + (f" slot {s}" if count > 1 else "")
-        raise ValueError(f"{where}: matching {pairs!r} is not a list of int pairs")
+        raise ValueError(f"{where}: {problem}")
     return tuple(out)
 
 
@@ -93,9 +116,13 @@ class Cover:
     edge.  ``matchings`` maps a pair (u, v) to one bare matching on a
     ``SimpleGraph`` base and to exactly t matchings on a ``MultiGraph``
     base; ``Cover.from_slots`` takes the list of t on either base.  Pairs
-    absent from the mapping get empty matchings.  Keys that are not pairs
-    of the base are rejected: cross-list constraints may only sit over
-    actual edges.
+    absent from the mapping get empty matchings.
+
+    Every cover is well-formed, or it is not built: each list size is a
+    non-negative int, each matching key is a pair of the base, and each
+    matching is a partial injection between the endpoint lists, every
+    pair naming a color of both lists and no color matched twice.  Every
+    constructor raises ValueError naming the edge and the pair otherwise.
     """
 
     __slots__ = ("base", "list_size", "_slots", "_conf")
@@ -113,8 +140,8 @@ class Cover:
     def _fill(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping, bare: bool):
         if len(sizes) != base.n:
             raise ValueError(f"got {len(sizes)} list sizes for {base.n} vertices")
-        if any(s < 0 for s in sizes):
-            raise ValueError("list sizes must be non-negative")
+        if not all(is_json_int(s) and s >= 0 for s in sizes):
+            raise ValueError(f"list sizes must be non-negative ints, got {list(sizes)!r}")
         self.base = base
         self.list_size = tuple(sizes)
         slots: dict[tuple[int, int], tuple[Matching, ...]] = {
@@ -136,13 +163,11 @@ class Cover:
                 raise ValueError(
                     f"edge {e} has multiplicity {len(slots[e])} but {len(given)} matchings given"
                 )
-            norm = []
-            for s, slot in enumerate(given):
-                pairs = _normalize_matching(slot, e, s, len(given))
-                if e != (u, v):
-                    pairs = tuple(sorted((j, i) for i, j in pairs))
-                norm.append(pairs)
-            slots[e] = tuple(norm)
+            flip = e != (u, v)
+            slots[e] = tuple(
+                _normalize_matching(slot, e, s, len(given), sizes, flip)
+                for s, slot in enumerate(given)
+            )
         self._slots = slots
         self._conf: ConflictTables | None = None
 
@@ -280,33 +305,6 @@ class PartialColoring:
 
     def __repr__(self) -> str:
         return f"PartialColoring({dict(self.items)!r})"
-
-
-def validate_cover(c: Cover) -> str | None:
-    """None if well-formed, else a message naming the offending edge and pair.
-
-    Checks that every matching references in-range color indices and is
-    injective in both directions (per parallel edge).  The remaining
-    cover conditions hold by construction: lists are disjoint per-vertex
-    index spaces and matchings only sit over edges of the base graph.
-    """
-    for u, v in c.edge_pairs():
-        for s, slot in enumerate(c.slot_matchings(u, v)):
-            tag = f"edge ({u}, {v})" + (f" slot {s}" if len(c.slot_matchings(u, v)) > 1 else "")
-            left = set()
-            right = set()
-            for i, j in slot:
-                if not 0 <= i < c.size(u):
-                    return f"{tag}: pair ({i}, {j}) has no color {i} at vertex {u}"
-                if not 0 <= j < c.size(v):
-                    return f"{tag}: pair ({i}, {j}) has no color {j} at vertex {v}"
-                if i in left:
-                    return f"{tag}: color {i} of vertex {u} matched twice"
-                if j in right:
-                    return f"{tag}: color {j} of vertex {v} matched twice"
-                left.add(i)
-                right.add(j)
-    return None
 
 
 def is_full_matching(c: Cover, u: int, v: int) -> bool:
@@ -449,8 +447,12 @@ def relabel_colors(c: Cover, perms: Sequence[Sequence[int]]) -> Cover:
         raise ValueError(f"got {len(perms)} permutations for {c.n} vertices")
     tables = []
     for u, perm in enumerate(perms):
-        table = tuple(perm)
-        if sorted(table) != list(range(c.size(u))):
+        try:
+            table = tuple(perm)
+            ok = all(is_json_int(x) for x in table) and sorted(table) == list(range(c.size(u)))
+        except TypeError:  # not iterable
+            ok = False
+        if not ok:
             raise ValueError(f"entry {u} is not a permutation of 0..{c.size(u) - 1}")
         tables.append(table)
     slots = {
@@ -511,8 +513,8 @@ def cover_from_json(data: Mapping) -> Cover:
         sizes = [k] * base.n
     elif "list_sizes" in data:
         sizes = data["list_sizes"]
-        if not isinstance(sizes, list) or not all(is_json_int(s) for s in sizes):
-            raise ValueError(f"list_sizes must be a list of ints, got {sizes!r}")
+        if not isinstance(sizes, list):
+            raise ValueError(f"list_sizes must be a list, got {sizes!r}")
     else:
         raise ValueError("cover JSON needs a 'k' or 'list_sizes' entry")
     given = data.get("matchings", {})
@@ -541,14 +543,10 @@ def cover_from_json(data: Mapping) -> Cover:
         if (u, v, slot) in seen:
             raise ValueError(f"matching key {key!r}: slot given twice")
         seen.add((u, v, slot))
-        # Cover rejects any matching that is not a list of int pairs
+        # Cover rejects any matching that is not a partial injection between the lists
         slots.setdefault((u, v), [()] * mult[(u, v)])[slot] = pairs
 
-    cover = Cover.from_slots(base, sizes, slots)
-    problem = validate_cover(cover)
-    if problem is not None:
-        raise ValueError(f"invalid cover: {problem}")
-    return cover
+    return Cover.from_slots(base, sizes, slots)
 
 
 def cover_to_json_text(c: Cover) -> str:

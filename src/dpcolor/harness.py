@@ -84,7 +84,7 @@ class SweepConfig:
 class DiracReportRow:
     """One accepted candidate graph and the outcome of its cover sweep.
 
-    ``deficit`` is 2m - (kn + k - 2), never positive for an accepted
+    ``deficit`` is ``dirac_deficit``, never positive for an accepted
     candidate.  ``witness_cover`` is the serialized critical cover when
     one was found, else empty.
     """
@@ -102,6 +102,11 @@ class DiracReportRow:
     seconds: float
 
 
+def dirac_deficit(g: SimpleGraph, k: int) -> int:
+    """2m - (kn + k - 2): positive when g already satisfies the claimed bound."""
+    return 2 * g.m - (k * g.n + k - 2)
+
+
 def candidate_filter(g: SimpleGraph, k: int, include_dirac: bool = False) -> Optional[str]:
     """None if g can carry a critical k-fold cover within the bound, else why not.
 
@@ -117,7 +122,7 @@ def candidate_filter(g: SimpleGraph, k: int, include_dirac: bool = False) -> Opt
         return "disconnected"
     if g.min_degree < k:
         return "min degree below k"
-    if 2 * g.m > k * g.n + k - 2:
+    if dirac_deficit(g, k) > 0:
         return "2m exceeds kn + k - 2"
     if contains_clique(g, k + 1):
         return "contains a clique of size k + 1"
@@ -137,7 +142,7 @@ def _sweep_one(args: tuple[str, int, str, bool]) -> DiracReportRow:
         graph6=g6,
         n=g.n,
         m=g.m,
-        deficit=2 * g.m - (k * g.n + k - 2),
+        deficit=dirac_deficit(g, k),
         has_big_clique=False,
         is_dirac=is_dirac,
         regime=regime,
@@ -227,7 +232,7 @@ def revalidate_row(row: DiracReportRow) -> bool:
         return False
     if emit_graph6(base) != row.graph6 or base.n != row.n or base.m != row.m:
         return False
-    if k is None or row.deficit != 2 * base.m - (k * base.n + k - 2):
+    if k is None or row.deficit != dirac_deficit(base, k):
         return False
     if row.regime == "perfect" and not all(
         is_full_matching(cover, u, v) for u, v in cover.edge_pairs()

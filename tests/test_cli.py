@@ -154,6 +154,11 @@ class TestRecognize:
     def test_brick_requires_a_graph(self, capsys):
         assert main(["recognize", "--what", "brick", "--k", "3"]) == 1
 
+    @pytest.mark.parametrize("what", ["gallai", "gdp", "dirac"])
+    def test_requires_a_graph(self, what, capsys):
+        assert main(["recognize", "--what", what, "--k", "3"]) == 1
+        assert capsys.readouterr().err == f"error: recognize {what} requires --graph\n"
+
     def test_brick_malformed_multigraph_exits_1(self, capsys):
         for doc in (
             '{"n":3}',
@@ -254,17 +259,16 @@ class TestVerifyDirac:
         assert main(["verify-dirac", "--k", "3", "--graphs", "-"]) == 0
         assert "candidates: 0" in capsys.readouterr().err
 
-    def test_env_size_cap(self, tmp_path, monkeypatch, capsys):
+    def test_max_n_rejects_larger_graph(self, tmp_path, capsys):
         graphs = tmp_path / "graphs.txt"
         graphs.write_text(W4_G6 + "\n")
-        monkeypatch.setenv("DPCOLOR_MAX_N", "4")
-        assert main(["verify-dirac", "--k", "3", "--graphs", str(graphs)]) == 1
+        args = ["verify-dirac", "--k", "3", "--graphs", str(graphs), "--max-n", "4"]
+        assert main(args) == 1
         assert "above the cap" in capsys.readouterr().err
 
-    def test_flag_beats_env(self, tmp_path, monkeypatch, capsys):
+    def test_max_n_accepts_graph_at_cap(self, tmp_path, capsys):
         graphs = tmp_path / "graphs.txt"
         graphs.write_text(W4_G6 + "\n")
-        monkeypatch.setenv("DPCOLOR_MAX_N", "4")
         args = ["verify-dirac", "--k", "3", "--graphs", str(graphs), "--max-n", "5"]
         assert main(args) == 0
 

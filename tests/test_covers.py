@@ -25,7 +25,6 @@ from dpcolor import (
     partial_injections,
     relabel_colors,
     residual_list,
-    validate_cover,
 )
 from dpcolor.construct import make_c4_covers, make_ks_example
 from dpcolor.covers import coloring_from_json_text, coloring_to_json_text, is_full_matching
@@ -120,32 +119,46 @@ class TestCoverConstruction:
     def test_rejects_wrong_size_vector(self):
         with pytest.raises(ValueError):
             Cover(C4, [2, 2, 2], {})
-        with pytest.raises(ValueError):
-            Cover(C4, [2, 2, 2, -1], {})
+        for bad in (-1, 2.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="list sizes must be non-negative ints"):
+                Cover(C4, [2, 2, 2, bad], {})
 
 
 class TestValidateCover:
+    """Well-formedness is checked by every constructor of Cover."""
+
     def test_straight_c4_cover_ok(self):
         straight, twisted = make_c4_covers()
-        assert validate_cover(straight) is None
-        assert validate_cover(twisted) is None
+        for c in (straight, twisted):
+            assert cover_from_json(cover_to_json(c)) == c
 
     def test_injectivity_violation_names_edge(self):
-        c = Cover(C4, [2] * 4, {(0, 1): [(0, 0), (1, 0)]})
-        msg = validate_cover(c)
-        assert msg is not None and "(0, 1)" in msg
+        with pytest.raises(ValueError, match=r"edge \(0, 1\): pair \(1, 0\) .*color 0 of vertex 1"):
+            Cover(C4, [2] * 4, {(0, 1): [(0, 0), (1, 0)]})
+        with pytest.raises(ValueError, match=r"edge \(0, 1\): pair \(0, 1\) .*color 0 of vertex 0"):
+            Cover(C4, [2] * 4, {(0, 1): [(0, 0), (0, 1)]})
+        g = MultiGraph(2, [(0, 1, 2)])
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) slot 1: pair \(1, 1\) .*twice"):
+            Cover(g, [2, 2], {(0, 1): [[(0, 0)], [(0, 1), (1, 1)]]})
 
     def test_range_violation_names_pair(self):
-        c = Cover(C4, [2] * 4, {(1, 2): [(0, 5)]})
-        msg = validate_cover(c)
-        assert msg is not None and "(1, 2)" in msg and "5" in msg
+        msg = r"edge \(1, 2\): pair \(0, 5\) has no color 5 at vertex 2"
+        with pytest.raises(ValueError, match=msg):
+            Cover(C4, [2] * 4, {(1, 2): [(0, 5)]})
+        with pytest.raises(ValueError, match=msg):  # the key (2, 1) reads its pairs as (j, i)
+            Cover(C4, [2] * 4, {(2, 1): [(5, 0)]})
+        with pytest.raises(ValueError, match=msg):
+            Cover.from_slots(C4, [2] * 4, {(1, 2): [[(0, 5)]]})
+        with pytest.raises(ValueError, match=r"edge \(1, 2\): pair \(-1, 0\) has no color -1"):
+            Cover(C4, [2] * 4, {(1, 2): [(-1, 0)]})
 
     def test_cover_from_lists_always_validates(self):
         rng = Random(20108)
         for _ in range(100):
             g = random_connected_graph(rng, rng.randint(2, 6), extra_p=0.3)
             lists = [rng.sample(range(6), rng.randint(1, 3)) for _ in g.vertices]
-            assert validate_cover(cover_from_lists(g, lists)) is None
+            c = cover_from_lists(g, lists)
+            assert cover_from_json(cover_to_json(c)) == c
 
 
 class TestCoverFromLists:
@@ -325,8 +338,9 @@ class TestEnumerateCovers:
         assert count_covers(C4, 2, "partial") == 7**4
 
     def test_all_enumerated_covers_validate(self):
+        # each cover passes the constructor's check, and again from its JSON
         for c in enumerate_covers(C4, 2, "partial"):
-            assert validate_cover(c) is None
+            assert cover_from_json(cover_to_json(c)) == c
 
     def test_spanning_tree_edges_pinned_to_identity(self):
         for c in enumerate_covers(C4, 2, "perfect"):
@@ -365,7 +379,7 @@ class TestRelabelColors:
                 rng.shuffle(perm)
                 perms.append(perm)
             relabeled = relabel_colors(c, perms)
-            assert validate_cover(relabeled) is None
+            assert cover_from_json(cover_to_json(relabeled)) == relabeled
             assert len(brute_force_colorings(relabeled)) == len(brute_force_colorings(c))
 
     def test_rejects_wrong_length(self):
@@ -374,6 +388,9 @@ class TestRelabelColors:
             relabel_colors(c, [[0, 1, 2]] * 2)
         with pytest.raises(ValueError):
             relabel_colors(c, [[0, 0, 1]] * 3)
+        for bad in ([[0, 1, 2], [0, 1, 2], 5], [[0, 1, 2]] * 2 + [[True, False, 2]], [None] * 3):
+            with pytest.raises(ValueError, match="is not a permutation"):
+                relabel_colors(c, bad)
 
     def test_monotonicity_adding_pairs(self):
         # growing a matching can only remove colorings
@@ -553,15 +570,19 @@ class TestFullMatching:
     def test_missing_or_stray_pairs_are_not_full(self):
         g = SimpleGraph(2, [(0, 1)])
         assert not is_full_matching(Cover(g, [2, 2], {(0, 1): [(0, 0)]}), 0, 1)
-        assert not is_full_matching(Cover(g, [2, 2], {(0, 1): [(0, 0), (1, 2)]}), 0, 1)
-        assert not is_full_matching(Cover(g, [2, 2], {(0, 1): [(0, 0), (0, 1)]}), 0, 1)
         assert not is_full_matching(Cover(g, [2, 3], {(0, 1): [(0, 0), (1, 1)]}), 0, 1)
+        # each slot is a partial injection, but their union need not be:
+        # too few pairs, color 1 of u unmatched, color 1 of v unmatched
+        mg = MultiGraph(2, [(0, 1, 2)])
+        for second in ([(0, 0)], [(0, 1)], [(1, 0)]):
+            c = Cover(mg, [2, 2], {(0, 1): [[(0, 0)], second]})
+            assert not is_full_matching(c, 0, 1)
 
     def test_unequal_lists_read_as_before(self):
         # the union covers both lists with size(u) pairs; this shape was
         # accepted by every copy the predicate replaced
-        g = SimpleGraph(2, [(0, 1)])
-        c = Cover(g, [3, 2], {(0, 1): [(0, 0), (1, 1), (2, 1)]})
+        mg = MultiGraph(2, [(0, 1, 2)])
+        c = Cover(mg, [3, 2], {(0, 1): [[(0, 0), (1, 1)], [(2, 1)]]})
         assert is_full_matching(c, 0, 1)
         assert not is_full_matching(c, 1, 0)
 

@@ -19,7 +19,6 @@ from dpcolor import (
     is_independent,
     parse_graph6,
     relabel_colors,
-    validate_cover,
 )
 
 from helpers import brute_force_colorings
@@ -58,6 +57,49 @@ def covers(draw, max_n: int = MAX_N):
         return Cover(base, sizes, given_)
     given_ = {(u, v): draw(matchings(sizes[u], sizes[v])) for u, v in edges}
     return Cover(SimpleGraph(n, edges), sizes, given_)
+
+
+@st.composite
+def cover_arguments(draw):
+    """Cover arguments whose matchings may carry one arbitrary small int pair."""
+    n = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    sizes = draw(st.lists(st.integers(0, MAX_SIZE), min_size=n, max_size=n))
+    color = st.integers(-1, MAX_SIZE)
+
+    def slot(u, v, flip):
+        out = list(draw(matchings(sizes[u], sizes[v])))
+        if draw(st.integers(0, 3)) == 0:
+            out.insert(draw(st.integers(0, len(out))), (draw(color), draw(color)))
+        return [(j, i) for i, j in out] if flip else out
+
+    multi = draw(st.booleans())
+    mult = {e: draw(st.integers(1, 3)) if multi else 1 for e in edges}
+    given_ = {}
+    for (u, v), t in mult.items():
+        flip = draw(st.booleans())  # the key (v, u) has its pairs read as (j, i)
+        slots = [slot(u, v, flip) for _ in range(t)]
+        given_[(v, u) if flip else (u, v)] = slots if multi else slots[0]
+    if multi:
+        base = MultiGraph(n, [(u, v, t) for (u, v), t in mult.items()])
+    else:
+        base = SimpleGraph(n, edges)
+    return base, sizes, given_
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_arguments())
+def test_cover_is_well_formed_or_not_built(args):
+    try:
+        c = Cover(*args)
+    except ValueError:
+        return
+    # every pair the cover reports is a conflict the solver sees, and back
+    for u, v in c.edge_pairs():
+        for a, b in ((u, v), (v, u)):
+            read_back = {(i, j) for i in range(c.size(a)) for j in c.matched_colors(a, b, i)}
+            assert c.h_edges(a, b) == read_back
 
 
 @FEW
@@ -142,7 +184,6 @@ def test_mutated_cover_json_raises_only_value_error(text):
         c = cover_from_json_text(text)
     except ValueError:
         return
-    assert validate_cover(c) is None
     assert all(type(s) is int for s in c.list_size)  # JSON true/false are not sizes
     assert cover_from_json_text(cover_to_json_text(c)) == c
 
