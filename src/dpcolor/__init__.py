@@ -47,7 +47,6 @@ from .solver import (
     certificate_is_valid,
     chi_dp,
     color_degree_cover,
-    cover_colorings,
     find_coloring,
     find_enhancing_extension,
     first_critical_cover,

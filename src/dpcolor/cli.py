@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import asdict
 from itertools import islice
@@ -157,6 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
         "recognize structure, and verify the sharp density bound at desk scale.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="log progress on stderr, such as the sweep's rejection counts",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="find a coloring of a cover, or null")
@@ -237,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

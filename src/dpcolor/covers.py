@@ -17,8 +17,7 @@ graph in one of two regimes:
   covers and factors out every per-vertex relabeling but one: the same
   relabeling sigma at every vertex, which sends each matching pi to
   sigma pi sigma^-1 and keeps the tree's identity.  An orbit of these k!
-  relabelings can still appear up to k! times; the solver's walk decides
-  one cover per orbit.
+  relabelings can still appear up to k! times.
 * ``"partial"``: every edge independently ranges over all partial
   injections of [k], with no relabeling reduction, giving P(k)^m covers
   where P(k) = sum_r C(k,r)^2 r!.
@@ -118,11 +117,12 @@ class Cover:
     base; ``Cover.from_slots`` takes the list of t on either base.  Pairs
     absent from the mapping get empty matchings.
 
-    Every cover is well-formed, or it is not built: each list size is a
-    non-negative int, each matching key is a pair of the base, and each
-    matching is a partial injection between the endpoint lists, every
-    pair naming a color of both lists and no color matched twice.  Every
-    constructor raises ValueError naming the edge and the pair otherwise.
+    Every cover is well-formed, or it is not built: the sizes are a
+    sequence of non-negative ints, the matchings a mapping, each matching
+    key is a pair of the base, and each matching is a partial injection
+    between the endpoint lists, every pair naming a color of both lists
+    and no color matched twice.  Every constructor raises ValueError
+    naming the edge and the pair otherwise.
     """
 
     __slots__ = ("base", "list_size", "_slots", "_conf")
@@ -138,6 +138,10 @@ class Cover:
         return cover
 
     def _fill(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping, bare: bool):
+        if not isinstance(sizes, Sequence):
+            raise ValueError(f"list sizes must be a sequence, got {sizes!r}")
+        if not isinstance(matchings, Mapping):
+            raise ValueError(f"matchings must be a mapping from vertex pairs, got {matchings!r}")
         if len(sizes) != base.n:
             raise ValueError(f"got {len(sizes)} list sizes for {base.n} vertices")
         if not all(is_json_int(s) and s >= 0 for s in sizes):

@@ -8,30 +8,33 @@ in ascending order, and pruning a neighbor's color the moment a
 matching pair joins it to the current pick.  All answers are exact;
 instances are expected to be desk scale (n at most about 13).
 
-Walking the covers of a graph (``cover_colorings``,
-``first_critical_cover``) compiles the graph once and steps an odometer
-over the per-edge matching choices in ``enumerate_covers`` order,
-rewriting only the tables of the edges whose choice changed.  In the
-perfect regime it steps only through the least member of each orbit of
-the global relabelings (orderly generation: a digit is skipped when a
-relabeling fixing the earlier digits lowers it).  Before searching, the
-previous cover's coloring is checked against the changed edges alone;
-if it survives, it proves the new cover colorable.
+Deciding every cover of a graph (``first_critical_cover``, ``chi_dp``)
+is a box search over the per-edge options of ``cover_choices``.  A box
+gives each edge a domain of options and holds every cover that picks
+from them.  The search runs on the tables of the pairs that every
+option in an edge's domain shares.  Those pairs form a sub-cover of
+each cover in the box, and a coloring of a cover is a coloring of every
+sub-cover (Dvorak-Postle), so with no coloring every cover in the box
+is uncolorable; only then are its covers enumerated, for the deletion
+test.  A coloring phi colors every cover in which no edge matches
+(phi(u), phi(v)).  The rest of the box is split into disjoint boxes,
+one per edge whose domain holds such a matching, and searched in turn.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .covers import (
     ConflictTables,
     Cover,
-    EdgeChoices,
     PartialColoring,
+    _bits,
     conflict_rows,
+    count_covers,
     cover_choices,
     cover_from_json_text,
     cover_to_json_text,
@@ -188,112 +191,66 @@ def is_critical(c: Cover) -> bool:
     return _survives_every_deletion(c.conflict_tables(), c.list_size)
 
 
-def _relabelings(k: int, choices: EdgeChoices, regime: str) -> list[list[int]]:
-    """conj[s][d]: the choice index that relabeling s sends choice d of a moving edge to.
+class _BoxSearch:
+    """The covers of one graph, split into boxes that one search decides each.
 
-    Perfect regime: s runs over the k! global relabelings sigma in
-    ``permutations(range(k))`` order, acting on every edge at once by
-    pi -> sigma pi sigma^-1, which keeps the pinned tree's identity.
-    Partial regime: the identity alone, so each cover is its own orbit.
+    A box is a list holding each edge's domain, a bitmask over its
+    ``cover_choices`` options; its covers are the product of the
+    domains.  Iterating starts from the full domains.  A box whose
+    shared pairs have a coloring phi is cut down to the covers phi
+    colors, and each edge e_i whose domain holds killers, options that
+    match (phi(u), phi(v)), pushes a child box limiting e_i to its
+    killers and every earlier such edge to its other options.  The boxes
+    yielded partition the covers.  Shared rows are memoised per (edge,
+    domain) on the instance, so they live for one call.
     """
-    options = next((opts for _, opts in choices if len(opts) > 1), ())
-    index = {m: d for d, m in enumerate(options)}
-    sigmas = permutations(range(k)) if regime == "perfect" else [tuple(range(k))]
-    return [[index[tuple(sorted((s[i], s[j]) for i, j in m))] for m in options] for s in sigmas]
 
+    def __init__(self, g: SimpleGraph, k: int, regime: str):
+        self.choices = cover_choices(g, k, regime)
+        self.k = k
+        self.conf: ConflictTables = [{} for _ in range(g.n)]
+        self._rows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        # holds[p][i * k + j]: the options of edge p matching color i of u to color j of v
+        self.holds = []
+        for _, options in self.choices:
+            masks = [0] * (k * k)
+            for d, matching in enumerate(options):
+                for i, j in matching:
+                    masks[i * k + j] |= 1 << d
+            self.holds.append(masks)
 
-def _walk(
-    n: int, k: int, choices: EdgeChoices, regime: str
-) -> Iterator[tuple[Optional[tuple[int, ...]], ConflictTables, list[int], int]]:
-    """Decide one cover per orbit of the regime's relabelings, in cover order.
+    def tables(self, box: list[int]) -> ConflictTables:
+        """The conflict tables of the pairs each edge's whole domain shares."""
+        conf, k, rows = self.conf, self.k, self._rows
+        for p, ((u, v), _) in enumerate(self.choices):
+            dom = box[p]
+            if (p, dom) not in rows:
+                shared = [divmod(x, k) for x, opts in enumerate(self.holds[p]) if opts & dom == dom]
+                rows[p, dom] = conflict_rows((shared,), k, k)
+            conf[u][v], conf[v][u] = rows[p, dom]
+        return conf
 
-    Steps an odometer over the choice product on n vertices, last edge
-    fastest, through the covers that are the least member of their
-    orbit.  Yields, per such cover, a coloring (one pick per vertex) or
-    None, the live conflict tables, the choice index of every edge, and
-    the orbit size; tables and indices are only valid until the next
-    step.
-    """
-    conj = _relabelings(k, choices, regime)
-    edges = [e for e, _ in choices]
-    rows = [[conflict_rows((m,), k, k) for m in options] for _, options in choices]
-    conf: ConflictTables = [{} for _ in range(n)]
-    for (u, v), edge_rows in zip(edges, rows):
-        conf[u][v], conf[v][u] = edge_rows[0]
-    digits = [0] * len(choices)
-    moving = [p for p, (_, options) in enumerate(choices) if len(options) > 1]
-    radix = len(conj[0])
-    # a subgroup of relabelings, by id: its members, the least digit
-    # above each that none of them lowers, and the subgroup fixing each
-    groups: list[tuple[int, ...]] = []
-    ids: dict[tuple[int, ...], int] = {}
-    succ: list[list[int]] = []
-    fixers: list[dict[int, int]] = []
-
-    def subgroup(members: tuple[int, ...]) -> int:
-        if members not in ids:
-            ids[members] = len(groups)
-            groups.append(members)
-            up, nxt = [radix] * radix, radix
-            for d in range(radix - 1, -1, -1):
-                up[d] = nxt
-                if all(conj[s][d] >= d for s in members):
-                    nxt = d
-            succ.append(up)
-            fixers.append({})
-        return ids[members]
-
-    # stab[j]: the subgroup fixing the first j moving digits; digit 0 is
-    # fixed by all, so a tail of zeros keeps the stabilizer
-    stab = [subgroup(tuple(range(len(conj))))] * (len(moving) + 1)
-    full = (1 << k) - 1
-    stats = SearchStats()
-    coloring: Optional[tuple[int, ...]] = None
-    changed: list[tuple[int, int]] = []
-    while True:
-        if coloring is None or any(
-            conf[u][v][coloring[u]] >> coloring[v] & 1 for u, v in changed
-        ):
-            found = _search(conf, [full] * n, range(n), stats)
-            coloring = None if found is None else tuple(found[u] for u in range(n))
-        yield coloring, conf, digits, len(conj) // len(groups[stab[-1]])
-        for at in range(len(moving) - 1, -1, -1):
-            p = moving[at]
-            d = succ[stab[at]][digits[p]]
-            if d < radix:
-                digits[p] = d
-                break
-            digits[p] = 0
-        else:
-            return
-        h = stab[at]
-        if d not in fixers[h]:
-            fixers[h][d] = subgroup(tuple(s for s in groups[h] if conj[s][d] == d))
-        stab[at + 1 :] = [fixers[h][d]] * (len(moving) - at)
-        changed = []
-        for p in moving[at:]:
-            u, v = edges[p]
-            conf[u][v], conf[v][u] = rows[p][digits[p]]
-            changed.append((u, v))
-
-
-def cover_colorings(
-    g: SimpleGraph, k: int, regime: str
-) -> Iterator[tuple[Optional[tuple[int, ...]], int]]:
-    """A coloring and the orbit size of each orbit representative of the covers.
-
-    In the perfect regime the k! global relabelings sigma, acting on
-    every non-tree matching at once by pi -> sigma pi sigma^-1, keep
-    colorability; the walk decides only the least member of each orbit
-    in ``enumerate_covers(g, k, regime)`` order, and the orbit sizes sum
-    to ``count_covers``.  The partial regime is not reduced: every cover
-    comes with orbit size 1.  A coloring is a tuple holding the pick of
-    every vertex of the representative, or None where it is
-    uncolorable; one carried over from the previous representative may
-    differ from what ``find_coloring`` would return.
-    """
-    walk = _walk(g.n, k, cover_choices(g, k, regime), regime)
-    return ((coloring, size) for coloring, _, _, size in walk)
+    def __iter__(self) -> Iterator[tuple[list[int], Optional[dict[int, int]]]]:
+        """Each decided box with a coloring of all its covers, or None if none has one."""
+        k = self.k
+        n = len(self.conf)
+        full = (1 << k) - 1
+        stats = SearchStats()
+        stack = [[(1 << len(options)) - 1 for _, options in self.choices]]
+        while stack:
+            box = stack.pop()
+            phi = _search(self.tables(box), [full] * n, range(n), stats)
+            if phi is None:
+                yield box, None
+                continue
+            for p, ((u, v), _) in enumerate(self.choices):
+                kill = box[p] & self.holds[p][phi[u] * k + phi[v]]
+                if kill:
+                    child = list(box)
+                    child[p] = kill
+                    stack.append(child)
+                    box[p] ^= kill
+            yield box, phi
 
 
 def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Optional[Cover]]:
@@ -301,22 +258,31 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
 
     Returns the cover's position in that order, counted from 1, and the
     cover; or the number of covers, ``count_covers(g, k, regime)``, and
-    None when none is critical.  Relabelings keep criticality, so the
-    first critical cover is the least of its orbit, and only orbit
-    representatives are decided (see ``cover_colorings``).
+    None when none is critical.  A critical cover is uncolorable, so it
+    lies in a box whose shared tables have no coloring; only the covers
+    of those boxes get the deletion test, each box in cover order up to
+    the least critical cover found so far.
     """
-    choices = cover_choices(g, k, regime)
+    boxes = _BoxSearch(g, k, regime)
     sizes = [k] * g.n
-    examined = 0
-    for coloring, conf, digits, size in _walk(g.n, k, choices, regime):
-        if coloring is None and _survives_every_deletion(conf, sizes):
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    for box, phi in boxes:
+        if phi is not None:
+            continue
+        for digits in product(*map(_bits, box)):
             rank = 0
-            for (_, options), d in zip(choices, digits):
+            for (_, options), d in zip(boxes.choices, digits):
                 rank = rank * len(options) + d
-            picked = {e: options[d] for (e, options), d in zip(choices, digits)}
-            return rank + 1, Cover(g, sizes, picked)
-        examined += size
-    return examined, None
+            if best is not None and rank >= best[0]:
+                break
+            if _survives_every_deletion(boxes.tables([1 << d for d in digits]), sizes):
+                best = rank, digits
+                break
+    if best is None:
+        return count_covers(g, k, regime), None
+    rank, digits = best
+    picked = {e: options[d] for (e, options), d in zip(boxes.choices, digits)}
+    return rank + 1, Cover(g, sizes, picked)
 
 
 def _chi_dp_connected(g: SimpleGraph, max_k: Optional[int]) -> int:
@@ -326,7 +292,7 @@ def _chi_dp_connected(g: SimpleGraph, max_k: Optional[int]) -> int:
     # needs no enumeration
     cap = hi if max_k is None else min(hi, max_k + 1)
     for k in range(lo, cap):
-        if all(p is not None for p, _ in cover_colorings(g, k, "perfect")):
+        if all(phi is not None for _, phi in _BoxSearch(g, k, "perfect")):
             return k
     if max_k is not None and hi > max_k:
         raise ValueError(f"threshold exceeds max_k={max_k}")
@@ -340,9 +306,10 @@ def chi_dp(g: SimpleGraph, max_k: Optional[int] = None) -> int:
     full-bijection covers with a spanning tree pinned to the identity:
     completing partial matchings never turns an uncolorable cover
     colorable, and per-vertex relabelings preserve colorability, so
-    these covers decide every level.  Of those, only one cover per orbit
-    of the global relabelings is decided (see ``cover_colorings``).
-    Disconnected graphs take the maximum over components.
+    these covers decide every level.  They are decided in boxes (see
+    ``first_critical_cover``), and a level fails at the first box whose
+    shared pairs have no coloring.  Disconnected graphs take the maximum
+    over components.
     """
     if g.n < 1:
         raise ValueError("threshold undefined for the empty graph")

@@ -2,13 +2,16 @@
 
 Everything here recomputes results from first principles (itertools
 scans, networkx algorithms) so package behaviour is always checked
-against an independent route.
+against an independent route.  The one exception is the orbit-reduced
+cover walk, which shares the package's search but decides covers one
+orbit at a time; its own tests check it against brute force.
 """
 
 from __future__ import annotations
 
 import itertools
 from random import Random
+from typing import Iterator, Optional
 
 import networkx as nx
 
@@ -16,9 +19,14 @@ from dpcolor import (
     Cover,
     MultiGraph,
     PartialColoring,
+    SearchStats,
     SimpleGraph,
+    clique_number,
+    cover_choices,
     residual_list,
 )
+from dpcolor.covers import ConflictTables, EdgeChoices, conflict_rows
+from dpcolor.solver import _search
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -106,6 +114,129 @@ def brute_force_k_colorable(g: SimpleGraph, k: int) -> bool:
         if all(combo[u] != combo[v] for u, v in g.edges()):
             return True
     return g.n == 0
+
+
+# ---------------------------------------------------------------------------
+# the orbit-reduced cover walk
+
+
+def orbit_relabelings(k: int, choices: EdgeChoices, regime: str) -> list[list[int]]:
+    """conj[s][d]: the choice index that relabeling s sends choice d of a moving edge to.
+
+    Perfect regime: s runs over the k! global relabelings sigma in
+    ``permutations(range(k))`` order, acting on every edge at once by
+    pi -> sigma pi sigma^-1, which keeps the pinned tree's identity.
+    Partial regime: the identity alone, so each cover is its own orbit.
+    """
+    options = next((opts for _, opts in choices if len(opts) > 1), ())
+    index = {m: d for d, m in enumerate(options)}
+    sigmas = itertools.permutations(range(k)) if regime == "perfect" else [tuple(range(k))]
+    return [[index[tuple(sorted((s[i], s[j]) for i, j in m))] for m in options] for s in sigmas]
+
+
+def orbit_walk(
+    n: int, k: int, choices: EdgeChoices, regime: str
+) -> Iterator[tuple[Optional[tuple[int, ...]], ConflictTables, list[int], int]]:
+    """Decide one cover per orbit of the regime's relabelings, in cover order.
+
+    Steps an odometer over the choice product on n vertices, last edge
+    fastest, through the covers that are the least member of their
+    orbit.  Yields, per such cover, a coloring (one pick per vertex) or
+    None, the live conflict tables, the choice index of every edge, and
+    the orbit size; tables and indices are only valid until the next
+    step.
+    """
+    conj = orbit_relabelings(k, choices, regime)
+    edges = [e for e, _ in choices]
+    rows = [[conflict_rows((m,), k, k) for m in options] for _, options in choices]
+    conf: ConflictTables = [{} for _ in range(n)]
+    for (u, v), edge_rows in zip(edges, rows):
+        conf[u][v], conf[v][u] = edge_rows[0]
+    digits = [0] * len(choices)
+    moving = [p for p, (_, options) in enumerate(choices) if len(options) > 1]
+    radix = len(conj[0])
+    # a subgroup of relabelings, by id: its members, the least digit
+    # above each that none of them lowers, and the subgroup fixing each
+    groups: list[tuple[int, ...]] = []
+    ids: dict[tuple[int, ...], int] = {}
+    succ: list[list[int]] = []
+    fixers: list[dict[int, int]] = []
+
+    def subgroup(members: tuple[int, ...]) -> int:
+        if members not in ids:
+            ids[members] = len(groups)
+            groups.append(members)
+            up, nxt = [radix] * radix, radix
+            for d in range(radix - 1, -1, -1):
+                up[d] = nxt
+                if all(conj[s][d] >= d for s in members):
+                    nxt = d
+            succ.append(up)
+            fixers.append({})
+        return ids[members]
+
+    # stab[j]: the subgroup fixing the first j moving digits; digit 0 is
+    # fixed by all, so a tail of zeros keeps the stabilizer
+    stab = [subgroup(tuple(range(len(conj))))] * (len(moving) + 1)
+    full = (1 << k) - 1
+    stats = SearchStats()
+    coloring: Optional[tuple[int, ...]] = None
+    changed: list[tuple[int, int]] = []
+    while True:
+        if coloring is None or any(
+            conf[u][v][coloring[u]] >> coloring[v] & 1 for u, v in changed
+        ):
+            found = _search(conf, [full] * n, range(n), stats)
+            coloring = None if found is None else tuple(found[u] for u in range(n))
+        yield coloring, conf, digits, len(conj) // len(groups[stab[-1]])
+        for at in range(len(moving) - 1, -1, -1):
+            p = moving[at]
+            d = succ[stab[at]][digits[p]]
+            if d < radix:
+                digits[p] = d
+                break
+            digits[p] = 0
+        else:
+            return
+        h = stab[at]
+        if d not in fixers[h]:
+            fixers[h][d] = subgroup(tuple(s for s in groups[h] if conj[s][d] == d))
+        stab[at + 1 :] = [fixers[h][d]] * (len(moving) - at)
+        changed = []
+        for p in moving[at:]:
+            u, v = edges[p]
+            conf[u][v], conf[v][u] = rows[p][digits[p]]
+            changed.append((u, v))
+
+
+def cover_colorings(
+    g: SimpleGraph, k: int, regime: str
+) -> Iterator[tuple[Optional[tuple[int, ...]], int]]:
+    """A coloring and the orbit size of each orbit representative of the covers.
+
+    The orbit-reduced cover walk, kept as the oracle the box search of
+    ``dpcolor.solver`` is checked against.
+
+    In the perfect regime the k! global relabelings sigma, acting on
+    every non-tree matching at once by pi -> sigma pi sigma^-1, keep
+    colorability; the walk decides only the least member of each orbit
+    in ``enumerate_covers(g, k, regime)`` order, and the orbit sizes sum
+    to ``count_covers``.  The partial regime is not reduced: every cover
+    comes with orbit size 1.  A coloring is a tuple holding the pick of
+    every vertex of the representative, or None where it is
+    uncolorable; one carried over from the previous representative may
+    differ from what ``find_coloring`` would return.
+    """
+    walk = orbit_walk(g.n, k, cover_choices(g, k, regime), regime)
+    return ((coloring, size) for coloring, _, _, size in walk)
+
+
+def walk_chi_dp(g: SimpleGraph) -> int:
+    """chi_dp of a connected graph by walking one cover per orbit at each k."""
+    for k in range(max(1, clique_number(g)), g.max_degree + 1):
+        if all(p is not None for p, _ in cover_colorings(g, k, "perfect")):
+            return k
+    return g.max_degree + 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dpcolor
 from dpcolor import (
     MultiGraph,
     cover_from_json_text,
@@ -22,6 +28,15 @@ C4_G6 = emit_graph6(SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 C5_G6 = emit_graph6(SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
 K4_G6 = emit_graph6(SimpleGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
 W4_G6 = emit_graph6(make_wheel(4))
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so its logging set-up is its own."""
+    src = str(Path(dpcolor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "dpcolor.cli", *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
 
 
 def write_cover(tmp_path, cover, name="cover.json"):
@@ -284,6 +299,33 @@ class TestVerifyDirac:
         graphs = tmp_path / "graphs.txt"
         graphs.write_text(W4_G6 + "\n")
         assert main(["verify-dirac", "--k", "2", "--graphs", str(graphs)]) == 1
+
+    def test_partial_regime_decides_the_wheel(self, monkeypatch, capsys):
+        # every one of the 34^8 partial 3-fold covers of W4 is decided
+        monkeypatch.setattr("sys.stdin", io.StringIO("D|s\n"))
+        args = ["verify-dirac", "--k", "3", "--graphs", "-", "--regime", "partial"]
+        assert main(args) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["regime"] == "partial"
+        assert fields["critical_cover_found"] == "false"
+        assert int(fields["covers_examined"]) == 34**8
+
+    def test_verbose_logs_on_stderr_and_keeps_stdout(self, tmp_path):
+        graphs = tmp_path / "graphs.txt"
+        graphs.write_text("\n".join([W4_G6, K4_G6, emit_graph6(make_dirac(3, 1))]) + "\n")
+        args = ["verify-dirac", "--k", "3", "--graphs", str(graphs), "--include-dirac"]
+        quiet, loud = run_cli(*args), run_cli("-v", *args)
+        assert quiet.returncode == loud.returncode == 0
+        # the last CSV field is the row's wall time, the one field that may differ
+        assert re.sub(r",[0-9.]+\n", ",\n", quiet.stdout) == re.sub(
+            r",[0-9.]+\n", ",\n", loud.stdout
+        )
+        assert quiet.stdout.count("\n") == 3
+        assert "accepted" not in quiet.stderr
+        assert "3 graphs read, 2 accepted" in loud.stderr
+        assert "'contains a clique of size k + 1': 1" in loud.stderr
+        assert "critical cover found on" in loud.stderr
 
 
 class TestVerifyStructure:

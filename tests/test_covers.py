@@ -116,6 +116,20 @@ class TestCoverConstruction:
         with pytest.raises(ValueError, match=r"edge \(0, 1\)|matching key"):
             Cover(base, [2, 2], matchings)
 
+    @pytest.mark.parametrize("build", [Cover, Cover.from_slots], ids=["bare", "slots"])
+    @pytest.mark.parametrize(
+        "sizes, matchings, message",
+        [
+            ([2, 2], None, "matchings must be a mapping"),
+            ([2, 2], [((0, 1), ((0, 0),))], "matchings must be a mapping"),
+            (iter([2, 2]), {}, "list sizes must be a sequence"),
+        ],
+        ids=["none", "pair-list", "iterator"],
+    )
+    def test_malformed_arguments_raise_value_error(self, build, sizes, matchings, message):
+        with pytest.raises(ValueError, match=message):
+            build(SimpleGraph(2, [(0, 1)]), sizes, matchings)
+
     def test_rejects_wrong_size_vector(self):
         with pytest.raises(ValueError):
             Cover(C4, [2, 2, 2], {})

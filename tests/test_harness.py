@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,35 @@ class TestVerifyDiracBound:
 
     def test_empty_stream(self):
         assert verify_dirac_bound(SweepConfig(k=3), []) == []
+
+    def test_partial_regime_rows_on_the_small_candidates(self):
+        # W4 and the two criterion-06 candidates on 6 vertices: every
+        # partial 3-fold cover is decided, and none is critical
+        stream = ["D|s", "EtTg", "ElUg"]
+        rows = verify_dirac_bound(SweepConfig(k=3, regime="partial"), stream)
+        assert [(r.graph6, r.m) for r in rows] == [("D|s", 8), ("EtTg", 9), ("ElUg", 9)]
+        for row in rows:
+            assert row.regime == "partial"
+            assert not row.critical_cover_found
+            assert row.covers_examined == 34**row.m
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the criterion-06 rows, every field but ``seconds``, with and without
+# include_dirac: any change to how covers are decided must reproduce them
+GOLDEN_ROWS = json.loads((ROOT / "tests" / "data" / "criterion06_rows.json").read_text())
+
+
+@pytest.mark.parametrize("include_dirac", [False, True], ids=["exclude_dirac", "include_dirac"])
+def test_criterion06_rows_match_the_golden_file(include_dirac):
+    stream = (ROOT / "perfbench" / "data" / "criterion06.g6").read_text().splitlines()
+    rows = verify_dirac_bound(SweepConfig(k=3, include_dirac=include_dirac), stream)
+    expected = GOLDEN_ROWS["include_dirac" if include_dirac else "exclude_dirac"]
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        got = dataclasses.asdict(row)
+        assert got.pop("seconds") >= 0.0
+        assert got == want
 
 
 @pytest.fixture(scope="module")

@@ -1,28 +1,31 @@
-"""The compiled cover walk against the reference solver and brute force.
+"""The box search against the orbit walk, the reference solver and brute force.
 
-``cover_colorings`` and ``first_critical_cover`` decide covers on
-conflict tables rewritten in place, reusing the previous cover's
-coloring where it survives, and in the perfect regime decide only the
-least cover of each orbit of the global relabelings.  Every verdict and
-every reported coloring is checked here against an independent route
-over the public covers of ``enumerate_covers``, which walks the same
-order, with orbits found by relabeling every cover by brute force.
+``first_critical_cover`` and ``chi_dp`` split the covers of a graph into
+boxes, each decided by one search on the pairs its domains share.  The
+boxes must partition the covers, every coloring must color each cover
+it is credited with, and every verdict must agree with an independent
+route over the public covers of ``enumerate_covers``.  The orbit walk
+of ``helpers.cover_colorings``, which decides one cover per orbit of the
+global relabelings, is the oracle for ``chi_dp``; its own checks against
+brute force, with orbits found by relabeling every cover, stay here.
 """
 
 from collections import Counter
 from itertools import permutations, product
+from math import prod
 from random import Random
 
 import pytest
 
 from dpcolor import (
+    Cover,
     PartialColoring,
     SearchStats,
     SimpleGraph,
     candidate_filter,
+    chi_dp,
     count_covers,
     cover_choices,
-    cover_colorings,
     enumerate_covers,
     first_critical_cover,
     find_coloring,
@@ -33,16 +36,20 @@ from dpcolor import (
     relabel_colors,
 )
 from dpcolor.construct import make_c4_covers
-from dpcolor.solver import _walk
+from dpcolor.covers import _bits
+from dpcolor.solver import _BoxSearch
 
 from helpers import (
     atlas_connected,
     brute_force_colorings,
     connected_cubic_8,
+    cover_colorings,
     first_brute_force_coloring,
     from_nx,
+    orbit_walk,
     random_connected_graph,
     random_cover,
+    walk_chi_dp,
 )
 
 C4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -162,7 +169,8 @@ def test_walk_decides_the_least_member_of_each_orbit(g, k):
     ]
     least = {min(orbit): len(orbit) for orbit in orbit_of}
     choices = cover_choices(g, k, "perfect")
-    got = {rank(choices, digits): size for _, _, digits, size in _walk(g.n, k, choices, "perfect")}
+    walked = orbit_walk(g.n, k, choices, "perfect")
+    got = {rank(choices, digits): size for _, _, digits, size in walked}
     assert got == least
     assert list(got) == sorted(got)  # in enumerate_covers order
 
@@ -319,4 +327,87 @@ def test_walk_rejects_bad_input_on_the_call():
     with pytest.raises(ValueError):
         cover_colorings(SimpleGraph(2, []), 2, "perfect")
     with pytest.raises(ValueError):
+        first_critical_cover(SimpleGraph(2, []), 2, "perfect")
+    with pytest.raises(ValueError):
         first_critical_cover(C4, 2, "other")
+
+
+# ---------------------------------------------------------------------------
+# the box search
+
+
+def decided_boxes(g: SimpleGraph, k: int, regime: str):
+    """The choices and every (domains, coloring or None) the box search decides."""
+    boxes = _BoxSearch(g, k, regime)
+    return boxes.choices, [(list(box), phi) for box, phi in boxes]
+
+
+def box_cover(g: SimpleGraph, k: int, choices, digits) -> Cover:
+    """The public cover that picks option digits[p] at every edge p."""
+    return Cover(g, [k] * g.n, {e: options[d] for (e, options), d in zip(choices, digits)})
+
+
+K4 = SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def box_graphs(seed: int, k: int, regime: str) -> list[SimpleGraph]:
+    """C4, the triangle, K4 and random connected graphs, those with at most 20,000 covers."""
+    rng = Random(seed)
+    graphs = [C4, SimpleGraph(3, [(0, 1), (1, 2), (0, 2)]), K4]
+    graphs += [random_connected_graph(rng, rng.randint(3, 6), extra_p=0.4) for _ in range(12)]
+    return [g for g in graphs if count_covers(g, k, regime) <= 20000]
+
+
+@pytest.mark.parametrize("regime, k", [("perfect", 2), ("perfect", 3), ("partial", 2)])
+def test_boxes_partition_the_covers(regime, k):
+    uncolorable = 0
+    for g in box_graphs(9001 + k, k, regime):
+        _, boxes = decided_boxes(g, k, regime)
+        sizes = [prod(dom.bit_count() for dom in box) for box, _ in boxes]
+        assert sum(sizes) == count_covers(g, k, regime)
+        for i, (a, _) in enumerate(boxes):
+            for b, _ in boxes[i + 1 :]:
+                assert any(x & y == 0 for x, y in zip(a, b))
+        uncolorable += sum(phi is None for _, phi in boxes)
+    assert uncolorable > 0  # C4 at k = 2 and K4 at k = 3 have uncolorable covers
+
+
+@pytest.mark.parametrize("regime, k", [("perfect", 2), ("perfect", 3), ("partial", 2)])
+def test_each_box_verdict_holds_on_its_covers(regime, k):
+    # a sample of each box: the coloring is independent in every cover
+    # credited to it, and no cover of an all-uncolorable box is colorable
+    rng = Random(4004 + k)
+    for g in box_graphs(9001 + k, k, regime):
+        choices, boxes = decided_boxes(g, k, regime)
+        for box, phi in boxes:
+            ranges = [_bits(dom) for dom in box]
+            for _ in range(4):
+                cover = box_cover(g, k, choices, [rng.choice(r) for r in ranges])
+                if phi is None:
+                    assert not is_colorable(cover)
+                else:
+                    assert is_independent(cover, PartialColoring(phi))
+
+
+def test_boxes_match_brute_force_on_criterion06_candidate_n5():
+    g = criterion06_candidate(5)
+    choices, boxes = decided_boxes(g, 3, "perfect")
+    verdict = {}
+    for box, phi in boxes:
+        for digits in product(*map(_bits, box)):
+            cover = box_cover(g, 3, choices, digits)
+            assert cover not in verdict
+            verdict[cover] = phi
+    covers = list(enumerate_covers(g, 3, "perfect"))
+    assert len(verdict) == len(covers) == 6 ** (g.m - g.n + 1)
+    for cover in covers:
+        phi = verdict[cover]
+        assert (phi is not None) == bool(brute_force_colorings(cover))
+        if phi is not None:
+            assert is_independent(cover, PartialColoring(phi))
+
+
+def test_chi_dp_matches_the_walk_on_small_connected_graphs():
+    graphs = [from_nx(G) for G in atlas_connected(range(1, 6))]
+    assert len(graphs) == 31
+    assert [chi_dp(g) for g in graphs] == [walk_chi_dp(g) for g in graphs]
