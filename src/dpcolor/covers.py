@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .graphs import (
     BaseGraph,
     SimpleGraph,
+    _bits,
     emit_graph6,
     is_json_int,
     multigraph_from_json,
@@ -50,11 +51,6 @@ EdgeChoices = tuple[tuple[tuple[int, int], tuple[Matching, ...]], ...]
 
 # conf[u][v][i]: bitmask of the colors of v matched to color i of u
 ConflictTables = list[dict[int, list[int]]]
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of mask, ascending."""
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def conflict_rows(

@@ -1,7 +1,9 @@
 """Immutable simple graphs and loopless multigraphs, with graph6 I/O.
 
-Vertices are always 0..n-1.  ``SimpleGraph`` stores a tuple of frozen
-neighbor sets and is hashable; ``MultiGraph`` stores positive edge
+Vertices are always 0..n-1.  ``SimpleGraph`` stores one int neighbor
+bitmask per vertex and is hashable: degrees are popcounts, and
+connectivity is a search over masks; its neighbor sets and sorted edge
+tuple are built on first use.  ``MultiGraph`` stores positive edge
 multiplicities keyed by sorted vertex pairs.  A simple graph also answers
 the multigraph calls (``pairs``, ``multiplicity``, ``simple``) as the
 multigraph whose multiplicities are all 1, so covers and structure checks
@@ -9,12 +11,14 @@ never ask which kind they hold.  The graph6 codec implements
 the short form of McKay's format (n <= 62): one header byte ``n + 63``
 followed by ceil(n(n-1)/2 / 6) payload bytes carrying the upper triangle
 of the adjacency matrix in column order, six bits per byte, each offset
-by 63.  Parse failures raise :class:`Graph6Error` naming the byte offset.
+by 63; the payload is read as one int and its set bits become edges.
+Parse failures raise :class:`Graph6Error` naming the byte offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -26,29 +30,39 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
+
+
 class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1, immutable after construction."""
 
-    __slots__ = ("n", "m", "_adj", "_edges")
+    __slots__ = ("n", "m", "_nbr", "_sets", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        edge_set: set[tuple[int, int]] = set()
+        nbr = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            a, b = (u, v) if u < v else (v, u)
-            edge_set.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
         self.n = n
-        self.m = len(edge_set)
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
+        # _nbr[u] has bit w set when uw is an edge
+        self._nbr: tuple[int, ...] = tuple(nbr)
+        self.m = sum(map(int.bit_count, nbr)) // 2
+        # neighbor frozensets and the edge tuple, built on first use
+        self._sets: Optional[tuple[frozenset[int], ...]] = None
+        self._edges: Optional[tuple[tuple[int, int], ...]] = None
 
     @property
     def vertices(self) -> range:
@@ -56,21 +70,27 @@ class SimpleGraph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) pairs with u < v, sorted."""
+        if self._edges is None:
+            self._edges = tuple(
+                (u, v) for u, x in enumerate(self._nbr) for v in _bits(x >> u + 1 << u + 1)
+            )
         return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
-        return v in self._adj[u]
+        return self._nbr[u] >> v & 1 == 1
 
     def neighbors(self, u: int) -> frozenset[int]:
-        return self._adj[u]
+        if self._sets is None:
+            self._sets = tuple(frozenset(_bits(x)) for x in self._nbr)
+        return self._sets[u]
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        return self._nbr[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self._adj)
+        return tuple(map(int.bit_count, self._nbr))
 
     @property
     def max_degree(self) -> int:
@@ -88,37 +108,38 @@ class SimpleGraph:
         index = {v: i for i, v in enumerate(vs)}
         edges = [
             (index[u], index[v])
-            for u, v in self._edges
+            for u, v in self.edges()
             if u in index and v in index
         ]
         return SimpleGraph(len(vs), edges)
 
+    def _reach(self, seed: int) -> int:
+        """The mask of the component holding the one vertex of mask seed."""
+        nbr = self._nbr
+        comp = todo = seed
+        while todo:
+            low = todo & -todo
+            new = nbr[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo = todo ^ low | new
+        return comp
+
     def connected_components(self) -> tuple[frozenset[int], ...]:
         """Components sorted by smallest contained vertex."""
-        seen = [False] * self.n
         comps: list[frozenset[int]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = [start]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
+        left = (1 << self.n) - 1
+        while left:
+            comp = self._reach(left & -left)
+            comps.append(frozenset(_bits(comp)))
+            left &= ~comp
         return tuple(comps)
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.connected_components()) == 1
+        return self.n <= 1 or self._reach(1) == (1 << self.n) - 1
 
     def pairs(self) -> tuple[tuple[int, int, int], ...]:
         """Edges as (u, v, 1), u < v, sorted: the MultiGraph view."""
-        return tuple((u, v, 1) for u, v in self._edges)
+        return tuple((u, v, 1) for u, v in self.edges())
 
     def multiplicity(self, u: int, v: int) -> int:
         return 1 if self.has_edge(u, v) else 0
@@ -130,10 +151,10 @@ class SimpleGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self.n == other.n and self._nbr == other._nbr
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash((self.n, self._nbr))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.m})"
@@ -241,6 +262,12 @@ def multigraph_from_json(data: object) -> MultiGraph:
     return MultiGraph(data["n"], [tuple(e) for e in edges])
 
 
+@cache
+def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pair (u, v) each payload bit of an n-vertex graph6 string sets, last bit first."""
+    return tuple((u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))
+
+
 def parse_graph6(text: str) -> SimpleGraph:
     """Decode one short-form graph6 line (n <= 62) into a SimpleGraph.
 
@@ -269,43 +296,35 @@ def parse_graph6(text: str) -> SimpleGraph:
         raise Graph6Error(
             f"payload too long: need {nbytes} bytes, got {len(s) - 1}", 1 + nbytes
         )
-    bits: list[int] = []
+    payload = 0
     for pos in range(1, len(s)):
         val = ord(s[pos]) - 63
         if not 0 <= val <= 63:
             raise Graph6Error(f"invalid payload byte {ord(s[pos])}", pos)
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
-    for pad_index in range(nbits, len(bits)):
-        if bits[pad_index]:
-            raise Graph6Error("nonzero padding bits", 1 + pad_index // 6)
-    edges = []
-    t = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[t]:
-                edges.append((u, v))
-            t += 1
-    return SimpleGraph(n, edges)
+        payload = payload << 6 | val
+    pad = 6 * nbytes - nbits
+    if payload & ((1 << pad) - 1):
+        # the padding, under six bits, lies in the last byte
+        raise Graph6Error("nonzero padding bits", nbytes)
+    pairs = _graph6_pairs(n)
+    return SimpleGraph(n, [pairs[t] for t in _bits(payload >> pad)])
 
 
 def emit_graph6(g: SimpleGraph) -> str:
     """Encode a SimpleGraph (n <= 62) as a short-form graph6 string."""
     if g.n > 62:
         raise ValueError(f"graph6 short form requires n <= 62, got {g.n}")
-    bits: list[int] = []
+    nbits = g.n * (g.n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    # bit (u, v), u < v, sits at column-order position v(v-1)/2 + u from the top
+    top = 6 * nbytes - 1
+    payload = 0
     for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+        for u in _bits(g._nbr[v] & ((1 << v) - 1)):
+            payload |= 1 << top - v * (v - 1) // 2 - u
+    return chr(g.n + 63) + "".join(
+        chr((payload >> 6 * i & 63) + 63) for i in range(nbytes - 1, -1, -1)
+    )
 
 
 @dataclass(frozen=True)

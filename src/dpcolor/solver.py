@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Optional
 
 from .covers import (
@@ -200,14 +201,21 @@ class _BoxSearch:
     shared pairs have a coloring phi is cut down to the covers phi
     colors, and each edge e_i whose domain holds killers, options that
     match (phi(u), phi(v)), pushes a child box limiting e_i to its
-    killers and every earlier such edge to its other options.  The boxes
-    yielded partition the covers.  Shared rows are memoised per (edge,
-    domain) on the instance, so they live for one call.
+    killers and every earlier such edge to its other options; the child
+    of the first killed edge is decided next.  The boxes yielded
+    partition the covers, except that once ``bound`` is set, a box whose
+    least cover (each domain's lowest option) ranks at or above it is
+    dropped undecided.  Shared rows are memoised per (edge, domain) on
+    the instance, so they live for one call.
     """
 
     def __init__(self, g: SimpleGraph, k: int, regime: str):
         self.choices = cover_choices(g, k, regime)
         self.k = k
+        self.bound: Optional[int] = None
+        # picking option d at edge p adds d * weights[p] to a cover's rank
+        sizes = [len(options) for _, options in self.choices]
+        self.weights = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
         self.conf: ConflictTables = [{} for _ in range(g.n)]
         self._rows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         # holds[p][i * k + j]: the options of edge p matching color i of u to color j of v
@@ -239,18 +247,27 @@ class _BoxSearch:
         stack = [[(1 << len(options)) - 1 for _, options in self.choices]]
         while stack:
             box = stack.pop()
+            if self.bound is not None and self.rank(dom & -dom for dom in box) >= self.bound:
+                continue
             phi = _search(self.tables(box), [full] * n, range(n), stats)
             if phi is None:
                 yield box, None
                 continue
+            children = []
             for p, ((u, v), _) in enumerate(self.choices):
                 kill = box[p] & self.holds[p][phi[u] * k + phi[v]]
                 if kill:
                     child = list(box)
                     child[p] = kill
-                    stack.append(child)
+                    children.append(child)
                     box[p] ^= kill
+            # the child of the first killed edge pops first
+            stack.extend(reversed(children))
             yield box, phi
+
+    def rank(self, cover: Iterable[int]) -> int:
+        """The position, from 0, in cover order of the cover picking each one-bit domain."""
+        return sum((dom.bit_length() - 1) * w for dom, w in zip(cover, self.weights))
 
 
 def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Optional[Cover]]:
@@ -261,28 +278,25 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
     None when none is critical.  A critical cover is uncolorable, so it
     lies in a box whose shared tables have no coloring; only the covers
     of those boxes get the deletion test, each box in cover order up to
-    the least critical cover found so far.
+    the least critical cover found so far.  That cover's rank bounds the
+    box search from then on.
     """
     boxes = _BoxSearch(g, k, regime)
     sizes = [k] * g.n
-    best: Optional[tuple[int, tuple[int, ...]]] = None
+    best: Optional[tuple[int, ...]] = None
     for box, phi in boxes:
         if phi is not None:
             continue
-        for digits in product(*map(_bits, box)):
-            rank = 0
-            for (_, options), d in zip(boxes.choices, digits):
-                rank = rank * len(options) + d
-            if best is not None and rank >= best[0]:
+        for cover in product(*(tuple(1 << d for d in _bits(dom)) for dom in box)):
+            if best is not None and boxes.rank(cover) >= boxes.bound:
                 break
-            if _survives_every_deletion(boxes.tables([1 << d for d in digits]), sizes):
-                best = rank, digits
+            if _survives_every_deletion(boxes.tables(cover), sizes):
+                best, boxes.bound = cover, boxes.rank(cover)
                 break
     if best is None:
         return count_covers(g, k, regime), None
-    rank, digits = best
-    picked = {e: options[d] for (e, options), d in zip(boxes.choices, digits)}
-    return rank + 1, Cover(g, sizes, picked)
+    picked = {e: options[dom.bit_length() - 1] for (e, options), dom in zip(boxes.choices, best)}
+    return boxes.bound + 1, Cover(g, sizes, picked)
 
 
 def _chi_dp_connected(g: SimpleGraph, max_k: Optional[int]) -> int:

@@ -180,17 +180,36 @@ class TestGraph6:
             parse_graph6("\x1f")  # header below printable range
         assert e.value.offset == 0
         with pytest.raises(Graph6Error) as e:
-            parse_graph6("C~~")  # payload too long
+            parse_graph6("C~~")  # payload too long: one byte needed
+        assert e.value.offset == 2
         with pytest.raises(Graph6Error) as e:
             parse_graph6("C")  # payload missing
-        with pytest.raises(Graph6Error) as e:
-            parse_graph6("C\x1f")  # bad payload byte
         assert e.value.offset == 1
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6("C>")  # bad payload byte (below 63)
+        assert e.value.offset == 1
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6("E?~\x7f")  # bad payload byte after good ones
+        assert e.value.offset == 3
+        assert str(e.value) == "invalid payload byte 127 (byte offset 3)"
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6("C\x1f")  # str.strip() drops \x1f, leaving no payload
+        assert str(e.value) == "payload too short: need 1 bytes, got 0 (byte offset 1)"
 
     def test_padding_must_be_zero(self):
         # K2 is "A_"; "A" + chr(63 + 0b011111) sets padding bits
-        with pytest.raises(Graph6Error):
+        with pytest.raises(Graph6Error) as e:
             parse_graph6("A" + chr(63 + 0b011111))
+        assert e.value.offset == 1
+        assert str(e.value) == "nonzero padding bits (byte offset 1)"
+        # n = 5 needs 10 bits: the second payload byte carries two padding bits
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6("D~" + chr(63 + 0b000001))
+        assert e.value.offset == 2
+        # a bad byte is reported before bad padding
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6("D>" + chr(63 + 0b000001))
+        assert e.value.offset == 1
 
     def test_emit_rejects_oversized(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ from dpcolor import (
     parse_graph6,
     relabel_colors,
 )
-from dpcolor.construct import make_c4_covers
+from dpcolor.construct import make_c4_covers, make_dirac
 from dpcolor.covers import _bits
 from dpcolor.solver import _BoxSearch
 
@@ -321,6 +321,18 @@ def test_first_critical_cover_on_c4_is_the_twisted_cover():
     _, twisted = make_c4_covers()
     assert examined == 2
     assert witness == relabel_colors(twisted, [[0, 1], [0, 1], [0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_first_critical_cover_of_k4_equality_graphs_is_the_identity(a):
+    # the identity cover comes first; once it is found, no later box is
+    # decided, so these take well under a second each
+    g = make_dirac(4, a)
+    examined, witness = first_critical_cover(g, 4, "perfect")
+    identity = tuple((i, i) for i in range(4))
+    assert examined == 1
+    assert witness == Cover(g, [4] * g.n, {e: identity for e in g.edges()})
+    assert is_critical(witness)
 
 
 def test_walk_rejects_bad_input_on_the_call():

@@ -1,8 +1,9 @@
-"""Property checks over generated covers on simple and multigraph bases."""
+"""Property checks over generated graphs and covers on simple and multigraph bases."""
 
 import itertools
 import json
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,3 +241,53 @@ def test_graph6_round_trips(g):
     text = emit_graph6(g)
     assert parse_graph6(text) == g
     assert parse_graph6(f">>graph6<<{text}\n") == g
+
+
+@st.composite
+def edge_lists(draw, max_n: int = 12):
+    """A vertex count and an edge list on it, with repeats, both orientations, any order."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.data())
+def test_simple_graph_agrees_with_a_set_reference(args, data):
+    n, edges = args
+    g = SimpleGraph(n, edges)
+    ref = {(min(e), max(e)) for e in edges}
+    nbrs = [frozenset(v for e in ref if u in e for v in e if v != u) for u in range(n)]
+    degrees = tuple(len(s) for s in nbrs)
+    assert g.m == len(ref)
+    assert g.edges() == tuple(sorted(ref))
+    assert g.pairs() == tuple((u, v, 1) for u, v in sorted(ref))
+    assert [g.neighbors(u) for u in range(n)] == nbrs
+    assert g.degrees() == degrees
+    assert [g.degree(u) for u in range(n)] == list(degrees)
+    assert (g.min_degree, g.max_degree) == (min(degrees, default=0), max(degrees, default=0))
+    for u, v in itertools.product(range(n), repeat=2):
+        assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in ref)
+
+    ref_nx = nx.Graph()
+    ref_nx.add_nodes_from(range(n))
+    ref_nx.add_edges_from(ref)
+    comps = sorted((frozenset(c) for c in nx.connected_components(ref_nx)), key=min)
+    assert g.connected_components() == tuple(comps)
+    assert g.is_connected() == (len(comps) <= 1)
+
+    keep = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)) if n else [])
+    index = {v: i for i, v in enumerate(keep)}
+    sub = g.induced(keep)
+    assert sub.n == len(keep)
+    assert set(sub.edges()) == {(index[u], index[v]) for u, v in ref if u in index and v in index}
+
+    # the same edge set in any order, orientation and multiplicity is the same graph
+    again = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in sorted(ref) * 2]
+    same = SimpleGraph(n, data.draw(st.permutations(again)))
+    assert same == g and hash(same) == hash(g)
+    if ref:
+        assert SimpleGraph(n, sorted(ref)[1:]) != g
+    assert parse_graph6(emit_graph6(g)) == g
