@@ -130,7 +130,8 @@ def _cmd_verify_dirac(args) -> int:
         parallelism=args.jobs,
         include_dirac=args.include_dirac,
     )
-    rows = verify_dirac_bound(cfg, _read_text(args.graphs).splitlines())
+    # split on newlines only: str.splitlines() also breaks at \x1c-\x1e and \x85
+    rows = verify_dirac_bound(cfg, _read_text(args.graphs).split("\n"))
     if args.out:
         emit_report(rows, args.format, args.out)
     else:

@@ -389,14 +389,22 @@ def partial_injections(k: int) -> tuple[Matching, ...]:
     return tuple(out)
 
 
+def _check_cover_args(g: SimpleGraph, k: int, regime: str) -> None:
+    if regime not in ("perfect", "partial"):
+        raise ValueError(f"unknown regime {regime!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if g.n == 0 or not g.is_connected():
+        raise ValueError("cover enumeration requires a connected graph on at least one vertex")
+
+
 def count_covers(g: SimpleGraph, k: int, regime: str) -> int:
-    """Number of covers enumerate_covers will yield."""
+    """Number of covers enumerate_covers will yield; same argument checks."""
+    _check_cover_args(g, k, regime)
     if regime == "perfect":
         return math.factorial(k) ** (g.m - g.n + 1)
-    if regime == "partial":
-        per_edge = sum(math.comb(k, r) ** 2 * math.factorial(r) for r in range(k + 1))
-        return per_edge ** g.m
-    raise ValueError(f"unknown regime {regime!r}")
+    per_edge = sum(math.comb(k, r) ** 2 * math.factorial(r) for r in range(k + 1))
+    return per_edge ** g.m
 
 
 def cover_choices(g: SimpleGraph, k: int, regime: str) -> EdgeChoices:
@@ -407,12 +415,7 @@ def cover_choices(g: SimpleGraph, k: int, regime: str) -> EdgeChoices:
     partial injection of [k] on every edge.  The covers are the product
     of these choices, the last edge varying fastest.
     """
-    if regime not in ("perfect", "partial"):
-        raise ValueError(f"unknown regime {regime!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not g.is_connected():
-        raise ValueError("cover enumeration requires a connected graph")
+    _check_cover_args(g, k, regime)
     if regime == "partial":
         injections = partial_injections(k)
         return tuple((e, injections) for e in g.edges())

@@ -17,6 +17,7 @@ Parse failures raise :class:`Graph6Error` naming the byte offset.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Optional, Union
@@ -271,11 +272,11 @@ def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
 def parse_graph6(text: str) -> SimpleGraph:
     """Decode one short-form graph6 line (n <= 62) into a SimpleGraph.
 
-    Accepts an optional ``>>graph6<<`` prefix and trailing whitespace.
+    Accepts an optional ``>>graph6<<`` prefix and surrounding ASCII whitespace.
     Long-form inputs (leading '~') and any byte outside the printable
     graph6 range raise :class:`Graph6Error` with the byte offset.
     """
-    s = text.strip()
+    s = text.strip(string.whitespace)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:

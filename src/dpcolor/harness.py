@@ -19,8 +19,9 @@ import csv
 import io
 import json
 import logging
+import string
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .covers import Cover, cover_from_json_text, cover_to_json_text, is_full_matching
@@ -36,27 +37,6 @@ from .recognize import is_gdp_forest, recognize_dirac
 from .solver import first_critical_cover, is_critical
 
 logger = logging.getLogger(__name__)
-
-REPORT_FIELDS = (
-    "graph6",
-    "n",
-    "m",
-    "deficit",
-    "has_big_clique",
-    "is_dirac",
-    "regime",
-    "critical_cover_found",
-    "witness_cover",
-    "covers_examined",
-    "seconds",
-)
-
-
-def default_max_n(k: int) -> int:
-    # cover counts grow as (k!)^(m-n+1); these caps keep a sweep at
-    # desk scale unless explicitly overridden
-    return 9 if k <= 3 else 7
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -77,7 +57,9 @@ class SweepConfig:
             raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
 
     def resolved_max_n(self) -> int:
-        return self.max_n if self.max_n is not None else default_max_n(self.k)
+        # cover counts grow as (k!)^(m-n+1); the default caps keep a sweep
+        # at desk scale unless explicitly overridden
+        return self.max_n if self.max_n is not None else (9 if self.k <= 3 else 7)
 
 
 @dataclass(frozen=True)
@@ -100,6 +82,9 @@ class DiracReportRow:
     witness_cover: str
     covers_examined: int
     seconds: float
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(DiracReportRow))
 
 
 def dirac_deficit(g: SimpleGraph, k: int) -> int:
@@ -131,15 +116,14 @@ def candidate_filter(g: SimpleGraph, k: int, include_dirac: bool = False) -> Opt
     return None
 
 
-def _sweep_one(args: tuple[str, int, str, bool]) -> DiracReportRow:
+def _sweep_one(args: tuple[SimpleGraph, int, str, bool]) -> DiracReportRow:
     # accepted candidates carry no clique on k+1 vertices; whether one is
     # a k-Dirac graph was decided by the caller
-    g6, k, regime, is_dirac = args
-    g = parse_graph6(g6)
+    g, k, regime, is_dirac = args
     t0 = time.perf_counter()
     examined, witness = first_critical_cover(g, k, regime)
     return DiracReportRow(
-        graph6=g6,
+        graph6=emit_graph6(g),
         n=g.n,
         m=g.m,
         deficit=dirac_deficit(g, k),
@@ -162,11 +146,11 @@ def verify_dirac_bound(cfg: SweepConfig, lines: Iterable[str]) -> list[DiracRepo
     this function returns.
     """
     max_n = cfg.resolved_max_n()
-    work: list[tuple[str, int, str, bool]] = []
+    work: list[tuple[SimpleGraph, int, str, bool]] = []
     rejected: dict[str, int] = {}
     total = 0
     for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
+        line = raw.strip(string.whitespace)
         if not line:
             continue
         total += 1
@@ -181,7 +165,7 @@ def verify_dirac_bound(cfg: SweepConfig, lines: Iterable[str]) -> list[DiracRepo
         reason = candidate_filter(g, cfg.k, include_dirac=cfg.include_dirac)
         if reason is None:
             is_dirac = cfg.include_dirac and recognize_dirac(g, cfg.k) is not None
-            work.append((emit_graph6(g), cfg.k, cfg.regime, is_dirac))
+            work.append((g, cfg.k, cfg.regime, is_dirac))
         else:
             rejected[reason] = rejected.get(reason, 0) + 1
 
@@ -343,6 +327,15 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+def _decode(cell: str, kind: str) -> object:
+    """The value a report cell written by ``_cell`` holds, given its field's type name."""
+    if kind == "bool":
+        if cell not in ("true", "false"):
+            raise ValueError(f"{cell!r} is not true or false")
+        return cell == "true"
+    return {"str": str, "int": int, "float": float}[kind](cell)
+
+
 def emit_report(
     rows: Sequence[DiracReportRow], fmt: str, sink: Union[str, TextIO]
 ) -> None:
@@ -355,15 +348,9 @@ def emit_report(
         if fmt == "csv":
             writer = csv.writer(out)
             writer.writerow(REPORT_FIELDS)
-            for row in rows:
-                data = asdict(row)
-                writer.writerow([_cell(data[name]) for name in REPORT_FIELDS])
+            writer.writerows([_cell(value) for value in astuple(row)] for row in rows)
         else:
-            payload = []
-            for row in rows:
-                data = asdict(row)
-                payload.append({name: data[name] for name in REPORT_FIELDS})
-            json.dump(payload, out, indent=2)
+            json.dump([asdict(row) for row in rows], out, indent=2)
             out.write("\n")
     finally:
         if own:
@@ -371,29 +358,24 @@ def emit_report(
 
 
 def parse_report_csv(text: str) -> list[DiracReportRow]:
-    """Read back a CSV report produced by emit_report."""
+    """Read back a CSV report produced by emit_report.
+
+    A record with the wrong number of cells or a cell its field's type
+    cannot hold raises ValueError naming the record's line.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(REPORT_FIELDS):
         raise ValueError(f"unexpected report header: {header!r}")
+    kinds = [f.type for f in fields(DiracReportRow)]
     rows = []
     for record in reader:
         if not record:
             continue
-        data = dict(zip(REPORT_FIELDS, record))
-        rows.append(
-            DiracReportRow(
-                graph6=data["graph6"],
-                n=int(data["n"]),
-                m=int(data["m"]),
-                deficit=int(data["deficit"]),
-                has_big_clique=data["has_big_clique"] == "true",
-                is_dirac=data["is_dirac"] == "true",
-                regime=data["regime"],
-                critical_cover_found=data["critical_cover_found"] == "true",
-                witness_cover=data["witness_cover"],
-                covers_examined=int(data["covers_examined"]),
-                seconds=float(data["seconds"]),
-            )
-        )
+        try:
+            if len(record) != len(kinds):
+                raise ValueError(f"{len(record)} cells, expected {len(kinds)}")
+            rows.append(DiracReportRow(*map(_decode, record, kinds)))
+        except ValueError as exc:
+            raise ValueError(f"report line {reader.line_num}: {exc}") from None
     return rows

@@ -35,7 +35,6 @@ from .covers import (
     PartialColoring,
     _bits,
     conflict_rows,
-    count_covers,
     cover_choices,
     cover_from_json_text,
     cover_to_json_text,
@@ -274,12 +273,12 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
     """The first critical cover of ``enumerate_covers(g, k, regime)``.
 
     Returns the cover's position in that order, counted from 1, and the
-    cover; or the number of covers, ``count_covers(g, k, regime)``, and
-    None when none is critical.  A critical cover is uncolorable, so it
-    lies in a box whose shared tables have no coloring; only the covers
-    of those boxes get the deletion test, each box in cover order up to
-    the least critical cover found so far.  That cover's rank bounds the
-    box search from then on.
+    cover; or the number of covers, the product of the edges' option
+    counts, and None when none is critical.  A critical cover is
+    uncolorable, so it lies in a box whose shared tables have no
+    coloring; only the covers of those boxes get the deletion test, each
+    box in cover order up to the least critical cover found so far.
+    That cover's rank bounds the box search from then on.
     """
     boxes = _BoxSearch(g, k, regime)
     sizes = [k] * g.n
@@ -294,7 +293,7 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
                 best, boxes.bound = cover, boxes.rank(cover)
                 break
     if best is None:
-        return count_covers(g, k, regime), None
+        return prod(len(options) for _, options in boxes.choices), None
     picked = {e: options[dom.bit_length() - 1] for (e, options), dom in zip(boxes.choices, best)}
     return boxes.bound + 1, Cover(g, sizes, picked)
 

@@ -243,6 +243,10 @@ class TestEnumerateCovers:
         g6 = emit_graph6(SimpleGraph(2, []))
         assert main(["enumerate-covers", "--graph", g6, "--k", "2"]) == 1
 
+    def test_empty_graph_rejected(self, capsys):
+        assert main(["enumerate-covers", "--graph", "?", "--k", "2"]) == 1
+        assert "at least one vertex" in capsys.readouterr().err
+
 
 class TestVerifyDirac:
     def test_stdout_csv(self, tmp_path, capsys):
@@ -273,6 +277,12 @@ class TestVerifyDirac:
         monkeypatch.setattr("sys.stdin", io.StringIO(K4_G6 + "\n"))
         assert main(["verify-dirac", "--k", "3", "--graphs", "-"]) == 0
         assert "candidates: 0" in capsys.readouterr().err
+
+    def test_control_byte_is_not_a_line_break(self, monkeypatch, capsys):
+        # str.splitlines() would cut "C~\x1c" into K4 and a blank line
+        monkeypatch.setattr("sys.stdin", io.StringIO(W4_G6 + "\nC~\x1c\n"))
+        assert main(["verify-dirac", "--k", "3", "--graphs", "-"]) == 1
+        assert "line 2: payload too long" in capsys.readouterr().err
 
     def test_max_n_rejects_larger_graph(self, tmp_path, capsys):
         graphs = tmp_path / "graphs.txt"

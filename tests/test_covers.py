@@ -27,11 +27,18 @@ from dpcolor import (
     residual_list,
 )
 from dpcolor.construct import make_c4_covers, make_ks_example
-from dpcolor.covers import coloring_from_json_text, coloring_to_json_text, is_full_matching
+from dpcolor.covers import (
+    coloring_from_json_text,
+    coloring_to_json_text,
+    cover_choices,
+    is_full_matching,
+)
 from dpcolor.graphs import multigraph_from_json
 
 from helpers import (
+    atlas_connected,
     brute_force_colorings,
+    from_nx,
     random_connected_graph,
     random_cover,
     random_multigraph,
@@ -350,6 +357,26 @@ class TestEnumerateCovers:
         assert count_covers(path, 2, "partial") == 49
         assert len(list(enumerate_covers(path, 2, "partial"))) == 49
         assert count_covers(C4, 2, "partial") == 7**4
+
+    @pytest.mark.parametrize("regime", ["perfect", "partial"])
+    def test_count_covers_checks_its_arguments(self, regime):
+        two_k2 = SimpleGraph(4, [(0, 1), (2, 3)])  # m - n + 1 = -1
+        with pytest.raises(ValueError, match="connected"):
+            count_covers(two_k2, 3, regime)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            count_covers(SimpleGraph(0), 3, regime)  # enumerate_covers has no tree to pin
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            count_covers(C4, 0, regime)
+        with pytest.raises(ValueError, match="unknown regime"):
+            count_covers(C4, 2, regime.upper())
+
+    def test_count_covers_is_the_product_of_the_edge_choices(self):
+        # the box search counts covers this way; both must agree everywhere
+        graphs = [SimpleGraph(1)] + [from_nx(G) for G in atlas_connected(range(2, 6))]
+        for g in graphs:
+            for k, regime in itertools.product((1, 2, 3), ("perfect", "partial")):
+                choices = cover_choices(g, k, regime)
+                assert count_covers(g, k, regime) == math.prod(len(opts) for _, opts in choices)
 
     def test_all_enumerated_covers_validate(self):
         # each cover passes the constructor's check, and again from its JSON

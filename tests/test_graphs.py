@@ -153,6 +153,7 @@ class TestGraph6:
     def test_header_prefix_tolerated(self):
         assert parse_graph6(">>graph6<<C~") == parse_graph6("C~")
         assert parse_graph6("  C~\n") == parse_graph6("C~")
+        assert parse_graph6(" \tC~\r\n\x0b\x0c") == parse_graph6("C~")  # all of string.whitespace
 
     def test_against_networkx_atlas(self):
         for G in atlas_connected(range(1, 8))[::7]:
@@ -193,8 +194,14 @@ class TestGraph6:
         assert e.value.offset == 3
         assert str(e.value) == "invalid payload byte 127 (byte offset 3)"
         with pytest.raises(Graph6Error) as e:
-            parse_graph6("C\x1f")  # str.strip() drops \x1f, leaving no payload
-        assert str(e.value) == "payload too short: need 1 bytes, got 0 (byte offset 1)"
+            parse_graph6("C\x1f")  # a control byte that is not whitespace is payload
+        assert str(e.value) == "invalid payload byte 31 (byte offset 1)"
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6("C~\x1f")  # a byte past the full payload of K4
+        assert str(e.value) == "payload too long: need 1 bytes, got 2 (byte offset 2)"
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6("\x85C~")
+        assert str(e.value) == "invalid header byte 133 (byte offset 0)"
 
     def test_padding_must_be_zero(self):
         # K2 is "A_"; "A" + chr(63 + 0b011111) sets padding bits

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,9 @@ class TestVerifyDiracBound:
     def test_parse_error_names_the_line(self):
         with pytest.raises(ValueError, match="line 2"):
             verify_dirac_bound(SweepConfig(k=3), [W4_G6, "C\x1f"])
+        # "C~" is K4; the trailing \x1c is not whitespace, so the line is no graph
+        with pytest.raises(ValueError, match="line 2: payload too long"):
+            verify_dirac_bound(SweepConfig(k=3), [W4_G6, "C~\x1c"])
 
     def test_size_cap_names_the_line(self):
         cfg = SweepConfig(k=3, max_n=5)
@@ -305,6 +309,39 @@ class TestReports:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_report_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            ("EtTg,5", "2 cells, expected 11"),
+            ("EtTg,6,9,-1,false,false,perfect,false,,1296,0.1,extra", "12 cells, expected 11"),
+            ("EtTg,6,9,-1,maybe,false,perfect,false,,1296,0.1", "'maybe' is not true or false"),
+            ("EtTg,6,9,-1,false,false,perfect,False,,1296,0.1", "'False' is not true or false"),
+            ("EtTg,six,9,-1,false,false,perfect,false,,1296,0.1", "invalid literal for int"),
+            ("EtTg,6,9,-1,false,false,perfect,false,,1296,soon", "could not convert"),
+        ],
+        ids=["short", "long", "bool-maybe", "bool-capitalized", "int", "float"],
+    )
+    def test_malformed_record_names_its_line(self, record, problem):
+        good = "Dl{,5,8,0,false,false,perfect,false,,1296,0.009081"
+        text = ",".join(REPORT_FIELDS) + "\n" + good + "\n" + record + "\n"
+        with pytest.raises(ValueError, match=f"report line 3: {re.escape(problem)}"):
+            parse_report_csv(text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_text_is_pinned(self, fmt):
+        # the golden criterion-06 rows with a fixed wall time: every byte of
+        # both formats, CSV quoting and the float formats included
+        rows = [
+            DiracReportRow(**want, seconds=0.0123456789) for want in GOLDEN_ROWS["include_dirac"]
+        ]
+        buf = io.StringIO()
+        emit_report(rows, fmt, buf)
+        pinned = ROOT / "tests" / "data" / f"criterion06_report.{fmt}"
+        assert buf.getvalue() == pinned.read_bytes().decode()  # CSV lines end in \r\n
+        if fmt == "csv":
+            back = parse_report_csv(buf.getvalue())
+            assert back == [dataclasses.replace(r, seconds=0.012346) for r in rows]
 
 
 class TestVerifyCriticalStructure:
