@@ -119,9 +119,14 @@ class Cover:
     between the endpoint lists, every pair naming a color of both lists
     and no color matched twice.  Every constructor raises ValueError
     naming the edge and the pair otherwise.
+
+    A cover never changes, so what is computed from it is kept on it:
+    the conflict tables, built on first use, and ``_whole``, which holds
+    ``(find_coloring(c),)`` once the solver has searched the whole cover
+    with no target and no seed.  Equality and hashing ignore both.
     """
 
-    __slots__ = ("base", "list_size", "_slots", "_conf")
+    __slots__ = ("base", "list_size", "_slots", "_conf", "_whole")
 
     def __init__(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping = {}):
         self._fill(base, sizes, matchings, bare=isinstance(base, SimpleGraph))
@@ -170,6 +175,7 @@ class Cover:
             )
         self._slots = slots
         self._conf: ConflictTables | None = None
+        self._whole: tuple[PartialColoring | None, ...] = ()
 
     @property
     def n(self) -> int:

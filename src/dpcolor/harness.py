@@ -34,7 +34,7 @@ from .graphs import (
     parse_graph6,
 )
 from .recognize import is_gdp_forest, recognize_dirac
-from .solver import first_critical_cover, is_critical
+from .solver import _BoxSearch, _first_critical, is_critical
 
 logger = logging.getLogger(__name__)
 
@@ -121,9 +121,21 @@ def _sweep_one(args: tuple[SimpleGraph, int, str, bool]) -> DiracReportRow:
     # a k-Dirac graph was decided by the caller
     g, k, regime, is_dirac = args
     t0 = time.perf_counter()
-    examined, witness = first_critical_cover(g, k, regime)
+    boxes = _BoxSearch(g, k, regime)
+    examined, witness = _first_critical(boxes)
+    seconds = time.perf_counter() - t0
+    graph6 = emit_graph6(g)
+    logger.info(
+        "%s: boxes=%d uncolorable=%d nodes=%d deletion_tests=%d seconds=%.3f",
+        graph6,
+        boxes.boxes,
+        boxes.uncolorable,
+        boxes.stats.nodes_expanded,
+        boxes.deletion_tests,
+        seconds,
+    )
     return DiracReportRow(
-        graph6=emit_graph6(g),
+        graph6=graph6,
         n=g.n,
         m=g.m,
         deficit=dirac_deficit(g, k),
@@ -133,7 +145,7 @@ def _sweep_one(args: tuple[SimpleGraph, int, str, bool]) -> DiracReportRow:
         critical_cover_found=witness is not None,
         witness_cover="" if witness is None else cover_to_json_text(witness),
         covers_examined=examined,
-        seconds=time.perf_counter() - t0,
+        seconds=seconds,
     )
 
 

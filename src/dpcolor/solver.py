@@ -8,6 +8,16 @@ in ascending order, and pruning a neighbor's color the moment a
 matching pair joins it to the current pick.  All answers are exact;
 instances are expected to be desk scale (n at most about 13).
 
+A cover is decided once: ``find_coloring(c)`` with no target and no
+seed keeps its answer on the cover, and later calls without ``stats``
+(``is_colorable``, ``is_critical``) return it.  Calls with ``stats``
+always search.  Nothing is kept across covers, so ``revalidate_row``
+and ``certificate_is_valid``, which decode a fresh cover from its
+text, decide it again.  The deletion test of ``is_critical`` shares
+its searches: a coloring of G - u also settles every w that is the
+one neighbor conflicting with some color of u, and settles the whole
+test when some color of u conflicts with no neighbor.
+
 Deciding every cover of a graph (``first_critical_cover``, ``chi_dp``)
 is a box search over the per-edge options of ``cover_choices``.  A box
 gives each edge a domain of options and holds every cover that picks
@@ -140,7 +150,12 @@ def find_coloring(
     The result covers target plus the seed's domain; seed picks are kept
     as-is and must form an independent set.  ``target=None`` means all
     vertices.  Exhaustive: returns None only when no such set exists.
+    The answer for the whole cover (no target, no seed) is kept on the
+    cover and returned again to callers that pass no ``stats``.
     """
+    whole = target is None and seed is None
+    if whole and stats is None and c._whole:
+        return c._whole[0]
     t0 = time.perf_counter()
     if seed is None:
         seed = PartialColoring()
@@ -164,9 +179,10 @@ def find_coloring(
         stats.nodes_expanded = local.nodes_expanded
         stats.max_depth = local.max_depth
         stats.elapsed = local.elapsed
-    if assignment is None:
-        return None
-    return seed.extended(assignment)
+    found = None if assignment is None else seed.extended(assignment)
+    if whole:
+        c._whole = (found,)
+    return found
 
 
 def is_colorable(c: Cover, stats: Optional[SearchStats] = None) -> bool:
@@ -174,14 +190,30 @@ def is_colorable(c: Cover, stats: Optional[SearchStats] = None) -> bool:
 
 
 def _survives_every_deletion(conf: ConflictTables, sizes: Iterable[int]) -> bool:
-    """Is the cover with these tables colorable after dropping any one vertex?"""
+    """Is the cover with these tables colorable after dropping any one vertex?
+
+    One coloring psi of G - u settles more than u.  A color i of u that
+    no pick of psi conflicts with extends psi to the whole cover, which
+    settles every deletion.  A color i of u that conflicts with the pick
+    of one neighbor w alone gives, with psi, a coloring of G - w.
+    """
     full = [(1 << s) - 1 for s in sizes]
     n = len(full)
     stats = SearchStats()
-    return all(
-        _search(conf, list(full), [w for w in range(n) if w != u], stats) is not None
-        for u in range(n)
-    )
+    settled = [False] * n
+    for u in range(n):
+        if settled[u]:
+            continue
+        psi = _search(conf, list(full), [w for w in range(n) if w != u], stats)
+        if psi is None:
+            return False
+        for i in _bits(full[u]):
+            hit = [w for w, row in conf[u].items() if row[i] >> psi[w] & 1]
+            if not hit:
+                return True
+            if len(hit) == 1:
+                settled[hit[0]] = True
+    return True
 
 
 def is_critical(c: Cover) -> bool:
@@ -205,13 +237,18 @@ class _BoxSearch:
     partition the covers, except that once ``bound`` is set, a box whose
     least cover (each domain's lowest option) ranks at or above it is
     dropped undecided.  Shared rows are memoised per (edge, domain) on
-    the instance, so they live for one call.
+    the instance, so they live for one call.  The instance counts the
+    boxes it decides, the uncolorable ones among them, and the deletion
+    tests it runs; ``stats`` adds up the nodes of the box searches.
     """
 
     def __init__(self, g: SimpleGraph, k: int, regime: str):
         self.choices = cover_choices(g, k, regime)
+        self.graph = g
         self.k = k
         self.bound: Optional[int] = None
+        self.boxes = self.uncolorable = self.deletion_tests = 0
+        self.stats = SearchStats()
         # picking option d at edge p adds d * weights[p] to a cover's rank
         sizes = [len(options) for _, options in self.choices]
         self.weights = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
@@ -242,14 +279,15 @@ class _BoxSearch:
         k = self.k
         n = len(self.conf)
         full = (1 << k) - 1
-        stats = SearchStats()
         stack = [[(1 << len(options)) - 1 for _, options in self.choices]]
         while stack:
             box = stack.pop()
             if self.bound is not None and self.rank(dom & -dom for dom in box) >= self.bound:
                 continue
-            phi = _search(self.tables(box), [full] * n, range(n), stats)
+            phi = _search(self.tables(box), [full] * n, range(n), self.stats)
+            self.boxes += 1
             if phi is None:
+                self.uncolorable += 1
                 yield box, None
                 continue
             children = []
@@ -268,6 +306,14 @@ class _BoxSearch:
         """The position, from 0, in cover order of the cover picking each one-bit domain."""
         return sum((dom.bit_length() - 1) * w for dom, w in zip(cover, self.weights))
 
+    def deletion_test(self, cover: Iterable[int]) -> bool:
+        """Does the cover picking each one-bit domain survive every deletion?
+
+        Only asked of covers in uncolorable boxes, which are uncolorable.
+        """
+        self.deletion_tests += 1
+        return _survives_every_deletion(self.tables(cover), [self.k] * len(self.conf))
+
 
 def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Optional[Cover]]:
     """The first critical cover of ``enumerate_covers(g, k, regime)``.
@@ -280,8 +326,11 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
     box in cover order up to the least critical cover found so far.
     That cover's rank bounds the box search from then on.
     """
-    boxes = _BoxSearch(g, k, regime)
-    sizes = [k] * g.n
+    return _first_critical(_BoxSearch(g, k, regime))
+
+
+def _first_critical(boxes: _BoxSearch) -> tuple[int, Optional[Cover]]:
+    """``first_critical_cover`` on the covers of this box search, which keeps its counters."""
     best: Optional[tuple[int, ...]] = None
     for box, phi in boxes:
         if phi is not None:
@@ -289,13 +338,13 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
         for cover in product(*(tuple(1 << d for d in _bits(dom)) for dom in box)):
             if best is not None and boxes.rank(cover) >= boxes.bound:
                 break
-            if _survives_every_deletion(boxes.tables(cover), sizes):
+            if boxes.deletion_test(cover):
                 best, boxes.bound = cover, boxes.rank(cover)
                 break
     if best is None:
         return prod(len(options) for _, options in boxes.choices), None
     picked = {e: options[dom.bit_length() - 1] for (e, options), dom in zip(boxes.choices, best)}
-    return boxes.bound + 1, Cover(g, sizes, picked)
+    return boxes.bound + 1, Cover(boxes.graph, [boxes.k] * boxes.graph.n, picked)
 
 
 def _chi_dp_connected(g: SimpleGraph, max_k: Optional[int]) -> int:

@@ -2,9 +2,11 @@
 
 Everything here recomputes results from first principles (itertools
 scans, networkx algorithms) so package behaviour is always checked
-against an independent route.  The one exception is the orbit-reduced
-cover walk, which shares the package's search but decides covers one
-orbit at a time; its own tests check it against brute force.
+against an independent route.  The exceptions are the orbit-reduced
+cover walk and the deletion test with one search per vertex, which
+share the package's search but decide covers the way the package did
+before its box search and its shared deletion test; their own tests
+check them against brute force.
 """
 
 from __future__ import annotations
@@ -106,6 +108,28 @@ def residual_count(c: Cover) -> int:
         return sum(rec(p.extended({u: i}), rest) for i in residual_list(c, p, u))
 
     return rec(PartialColoring(), list(range(c.n)))
+
+
+def brute_force_survives_deletions(c: Cover) -> bool:
+    """Every one-vertex deletion of c is colorable, by a pruned product scan per deletion."""
+    earlier: list[list[tuple[int, set]]] = [[] for _ in range(c.n)]
+    for u, v in c.edge_pairs():
+        earlier[v].append((u, set(c.h_edges(u, v))))
+    combo = [0] * c.n
+
+    def colorable_without(gone: int, v: int = 0) -> bool:
+        if v == c.n:
+            return True
+        if v == gone:
+            return colorable_without(gone, v + 1)
+        for i in range(c.size(v)):
+            if all(u == gone or (combo[u], i) not in h for u, h in earlier[v]):
+                combo[v] = i
+                if colorable_without(gone, v + 1):
+                    return True
+        return False
+
+    return all(colorable_without(u) for u in range(c.n))
 
 
 def brute_force_k_colorable(g: SimpleGraph, k: int) -> bool:
@@ -237,6 +261,22 @@ def walk_chi_dp(g: SimpleGraph) -> int:
         if all(p is not None for p, _ in cover_colorings(g, k, "perfect")):
             return k
     return g.max_degree + 1
+
+
+def deletion_test_by_vertex(conf: ConflictTables, sizes) -> bool:
+    """Colorable after dropping any one vertex, with one search per vertex.
+
+    The deletion test as the package ran it before one coloring of G - u
+    settled several deletions; kept as the oracle of
+    ``dpcolor.solver._survives_every_deletion``.
+    """
+    full = [(1 << s) - 1 for s in sizes]
+    n = len(full)
+    stats = SearchStats()
+    return all(
+        _search(conf, list(full), [w for w in range(n) if w != u], stats) is not None
+        for u in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------

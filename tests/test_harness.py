@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -28,11 +29,13 @@ from dpcolor.harness import (
     SweepConfig,
     candidate_filter,
     emit_report,
+    parse_graph6,
     parse_report_csv,
     revalidate_row,
     verify_critical_structure,
     verify_dirac_bound,
 )
+from dpcolor.solver import _BoxSearch
 
 
 def complete(n):
@@ -151,6 +154,39 @@ class TestVerifyDiracBound:
 
 
 ROOT = Path(__file__).resolve().parents[1]
+STREAM = ROOT / "perfbench" / "data" / "criterion06.g6"
+COUNTERS = re.compile(
+    r"(\S+): boxes=(\d+) uncolorable=(\d+) nodes=(\d+) deletion_tests=(\d+) seconds=([\d.]+)"
+)
+
+
+def test_each_graph_logs_its_search_counters(caplog):
+    n5 = next(
+        line
+        for line in STREAM.read_text().split("\n")
+        if line and parse_graph6(line).n == 5 and candidate_filter(parse_graph6(line), 3) is None
+    )
+    dirac = emit_graph6(make_dirac(3, 1))
+    with caplog.at_level(logging.INFO, logger="dpcolor.harness"):
+        rows = verify_dirac_bound(SweepConfig(k=3, include_dirac=True), [n5, dirac])
+    logged = [COUNTERS.fullmatch(r.getMessage()) for r in caplog.records]
+    logged = [m.groups() for m in logged if m is not None]
+    assert [g6 for g6, *_ in logged] == [row.graph6 for row in rows] == [n5, dirac]
+    for (_, boxes, bad, nodes, tests, seconds), row in zip(logged, rows):
+        assert abs(float(seconds) - row.seconds) <= 0.0005
+        # counted again by a box search of its own over the same graph
+        again = _BoxSearch(parse_graph6(row.graph6), 3, "perfect")
+        decided = [phi for _, phi in again]
+        if not row.critical_cover_found:
+            assert int(boxes) == len(decided) and int(nodes) == again.stats.nodes_expanded
+            assert int(bad) == int(tests) == decided.count(None) == 0
+        else:
+            # the witness, the first cover, ends the search: its box was
+            # uncolorable and its deletion test the only one
+            assert row.covers_examined == 1 and int(bad) == int(tests) == 1
+            assert 0 < int(boxes) <= len(decided) and int(nodes) > 0
+
+
 # the criterion-06 rows, every field but ``seconds``, with and without
 # include_dirac: any change to how covers are decided must reproduce them
 GOLDEN_ROWS = json.loads((ROOT / "tests" / "data" / "criterion06_rows.json").read_text())
