@@ -126,10 +126,11 @@ def _sweep_one(args: tuple[SimpleGraph, int, str, bool]) -> DiracReportRow:
     seconds = time.perf_counter() - t0
     graph6 = emit_graph6(g)
     logger.info(
-        "%s: boxes=%d uncolorable=%d nodes=%d deletion_tests=%d seconds=%.3f",
+        "%s: boxes=%d uncolorable=%d spared=%d nodes=%d deletion_tests=%d seconds=%.3f",
         graph6,
         boxes.boxes,
         boxes.uncolorable,
+        boxes.spared,
         boxes.stats.nodes_expanded,
         boxes.deletion_tests,
         seconds,

@@ -29,6 +29,18 @@ is uncolorable; only then are its covers enumerated, for the deletion
 test.  A coloring phi colors every cover in which no edge matches
 (phi(u), phi(v)).  The rest of the box is split into disjoint boxes,
 one per edge whose domain holds such a matching, and searched in turn.
+
+Which phi is found decides how many boxes follow, so each box is first
+searched on its union tables.  There an edge whose options together
+leave some pair unmatched, and which has more than one option, gets
+every pair that some option in its domain matches; the other edges keep
+their shared pairs.  A coloring of the union tables spares each such
+edge whole, splitting off no child there, and it colors the shared
+tables too, which hold fewer pairs.  Only when the union tables have no
+coloring, or no edge can be spared, is the search run on the shared
+tables.  Before the union search, a color whose union row toward some
+neighbor is full is dropped, and a box where a vertex has no color left
+skips it.
 """
 
 from __future__ import annotations
@@ -223,23 +235,33 @@ def is_critical(c: Cover) -> bool:
     return _survives_every_deletion(c.conflict_tables(), c.list_size)
 
 
+_Rows = tuple[list[int], list[int]]
+# an edge's shared rows on a domain; its union rows, or None when it cannot
+# be spared; and the colors of u and of v the union rows leave live
+_EdgeRows = tuple[_Rows, Optional[_Rows], int, int]
+
+
 class _BoxSearch:
     """The covers of one graph, split into boxes that one search decides each.
 
     A box is a list holding each edge's domain, a bitmask over its
     ``cover_choices`` options; its covers are the product of the
-    domains.  Iterating starts from the full domains.  A box whose
-    shared pairs have a coloring phi is cut down to the covers phi
-    colors, and each edge e_i whose domain holds killers, options that
-    match (phi(u), phi(v)), pushes a child box limiting e_i to its
-    killers and every earlier such edge to its other options; the child
-    of the first killed edge is decided next.  The boxes yielded
-    partition the covers, except that once ``bound`` is set, a box whose
-    least cover (each domain's lowest option) ranks at or above it is
-    dropped undecided.  Shared rows are memoised per (edge, domain) on
-    the instance, so they live for one call.  The instance counts the
-    boxes it decides, the uncolorable ones among them, and the deletion
-    tests it runs; ``stats`` adds up the nodes of the box searches.
+    domains.  Iterating starts from the full domains.  Each box is
+    searched on its union tables first, then, if they have no coloring,
+    on its shared tables; either coloring phi colors the shared pairs.
+    The box is cut down to the covers phi colors, and each edge e_i
+    whose domain holds killers, options that match (phi(u), phi(v)),
+    pushes a child box limiting e_i to its killers and every earlier
+    such edge to its other options; the child of the first killed edge
+    is decided next.  An edge that got union rows holds no killer of a
+    phi found on them.  The boxes yielded partition the covers, except
+    that once ``bound`` is set, a box whose least cover (each domain's
+    lowest option) ranks at or above it is dropped undecided.  Shared
+    and union rows are memoised per (edge, domain) on the instance, so
+    they live for one call.  The instance counts the boxes it decides,
+    the uncolorable ones among them, the spared ones, whose phi came
+    from the union tables, and the deletion tests it runs; ``stats``
+    adds up the nodes of the box searches.
     """
 
     def __init__(self, g: SimpleGraph, k: int, regime: str):
@@ -247,13 +269,13 @@ class _BoxSearch:
         self.graph = g
         self.k = k
         self.bound: Optional[int] = None
-        self.boxes = self.uncolorable = self.deletion_tests = 0
+        self.boxes = self.uncolorable = self.spared = self.deletion_tests = 0
         self.stats = SearchStats()
         # picking option d at edge p adds d * weights[p] to a cover's rank
         sizes = [len(options) for _, options in self.choices]
         self.weights = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
         self.conf: ConflictTables = [{} for _ in range(g.n)]
-        self._rows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        self._rows: dict[tuple[int, int], _EdgeRows] = {}
         # holds[p][i * k + j]: the options of edge p matching color i of u to color j of v
         self.holds = []
         for _, options in self.choices:
@@ -265,14 +287,57 @@ class _BoxSearch:
 
     def tables(self, box: list[int]) -> ConflictTables:
         """The conflict tables of the pairs each edge's whole domain shares."""
-        conf, k, rows = self.conf, self.k, self._rows
+        conf = self.conf
         for p, ((u, v), _) in enumerate(self.choices):
-            dom = box[p]
-            if (p, dom) not in rows:
-                shared = [divmod(x, k) for x, opts in enumerate(self.holds[p]) if opts & dom == dom]
-                rows[p, dom] = conflict_rows((shared,), k, k)
-            conf[u][v], conf[v][u] = rows[p, dom]
+            conf[u][v], conf[v][u] = self._edge_rows(p, box[p])[0]
         return conf
+
+    def union_tables(self, box: list[int]) -> Optional[tuple[ConflictTables, list[int]]]:
+        """The tables that spare every edge they can, with each vertex's live colors.
+
+        An edge that can be spared gets the pairs some option in its
+        domain matches; the others keep their shared pairs.  A color of u
+        is live unless a union row rules out every color of a neighbor
+        with it.  None when no edge can be spared, or when some vertex
+        has no live color, so that the union tables have no coloring.
+        """
+        conf = self.conf
+        live = [(1 << self.k) - 1] * len(conf)
+        spared = False
+        for p, ((u, v), _) in enumerate(self.choices):
+            shared, union, live_u, live_v = self._edge_rows(p, box[p])
+            conf[u][v], conf[v][u] = union or shared
+            live[u] &= live_u
+            live[v] &= live_v
+            spared = spared or union is not None
+        return (conf, live) if spared and all(live) else None
+
+    def _edge_rows(self, p: int, dom: int) -> _EdgeRows:
+        """Edge p's shared rows on a domain, and its union rows with the colors they leave live.
+
+        An edge with one option, or whose options together match all
+        k * k pairs, cannot be spared; its union rows are None and it
+        leaves every color live.
+        Memoised per (edge, domain) on the instance.
+        """
+        memo = self._rows.get((p, dom))
+        if memo is not None:
+            return memo
+        k, holds = self.k, self.holds[p]
+        full = (1 << k) - 1
+        every = [divmod(x, k) for x, opts in enumerate(holds) if opts & dom == dom]
+        some = [divmod(x, k) for x, opts in enumerate(holds) if opts & dom]
+        shared = conflict_rows((every,), k, k)
+        if dom & (dom - 1) == 0 or len(some) == k * k:
+            memo = (shared, None, full, full)
+        else:
+            fwd, bwd = union = conflict_rows((some,), k, k)
+            # a color whose row is full conflicts with every color across the edge
+            live_u = sum(1 << i for i, row in enumerate(fwd) if row != full)
+            live_v = sum(1 << j for j, row in enumerate(bwd) if row != full)
+            memo = (shared, union, live_u, live_v)
+        self._rows[p, dom] = memo
+        return memo
 
     def __iter__(self) -> Iterator[tuple[list[int], Optional[dict[int, int]]]]:
         """Each decided box with a coloring of all its covers, or None if none has one."""
@@ -284,8 +349,13 @@ class _BoxSearch:
             box = stack.pop()
             if self.bound is not None and self.rank(dom & -dom for dom in box) >= self.bound:
                 continue
-            phi = _search(self.tables(box), [full] * n, range(n), self.stats)
             self.boxes += 1
+            spare = self.union_tables(box)
+            phi = None if spare is None else _search(*spare, range(n), self.stats)
+            if phi is not None:
+                self.spared += 1
+            else:
+                phi = _search(self.tables(box), [full] * n, range(n), self.stats)
             if phi is None:
                 self.uncolorable += 1
                 yield box, None

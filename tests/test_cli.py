@@ -30,12 +30,12 @@ K4_G6 = emit_graph6(SimpleGraph(4, [(u, v) for u in range(4) for v in range(u + 
 W4_G6 = emit_graph6(make_wheel(4))
 
 
-def run_cli(*args):
+def run_cli(*args, module="dpcolor.cli"):
     """Run the CLI in a fresh interpreter, so its logging set-up is its own."""
     src = str(Path(dpcolor.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    argv = [sys.executable, "-m", "dpcolor.cli", *args]
+    argv = [sys.executable, "-m", module, *args]
     return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -365,6 +365,11 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("dpcolor ")
+
+    def test_python_m_dpcolor_runs_the_cli(self):
+        done = run_cli("--version", module="dpcolor")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"dpcolor {dpcolor.__version__}\n"
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -156,7 +156,8 @@ class TestVerifyDiracBound:
 ROOT = Path(__file__).resolve().parents[1]
 STREAM = ROOT / "perfbench" / "data" / "criterion06.g6"
 COUNTERS = re.compile(
-    r"(\S+): boxes=(\d+) uncolorable=(\d+) nodes=(\d+) deletion_tests=(\d+) seconds=([\d.]+)"
+    r"(\S+): boxes=(\d+) uncolorable=(\d+) spared=(\d+) nodes=(\d+) deletion_tests=(\d+)"
+    r" seconds=([\d.]+)"
 )
 
 
@@ -172,7 +173,7 @@ def test_each_graph_logs_its_search_counters(caplog):
     logged = [COUNTERS.fullmatch(r.getMessage()) for r in caplog.records]
     logged = [m.groups() for m in logged if m is not None]
     assert [g6 for g6, *_ in logged] == [row.graph6 for row in rows] == [n5, dirac]
-    for (_, boxes, bad, nodes, tests, seconds), row in zip(logged, rows):
+    for (_, boxes, bad, spared, nodes, tests, seconds), row in zip(logged, rows):
         assert abs(float(seconds) - row.seconds) <= 0.0005
         # counted again by a box search of its own over the same graph
         again = _BoxSearch(parse_graph6(row.graph6), 3, "perfect")
@@ -180,11 +181,14 @@ def test_each_graph_logs_its_search_counters(caplog):
         if not row.critical_cover_found:
             assert int(boxes) == len(decided) and int(nodes) == again.stats.nodes_expanded
             assert int(bad) == int(tests) == decided.count(None) == 0
+            # a spared box is one whose coloring came from its union tables
+            assert 0 < int(spared) == again.spared < int(boxes)
         else:
             # the witness, the first cover, ends the search: its box was
             # uncolorable and its deletion test the only one
             assert row.covers_examined == 1 and int(bad) == int(tests) == 1
             assert 0 < int(boxes) <= len(decided) and int(nodes) > 0
+            assert int(spared) < int(boxes)
 
 
 # the criterion-06 rows, every field but ``seconds``, with and without

@@ -13,6 +13,7 @@ brute force, with orbits found by relabeling every cover, stay here.
 from collections import Counter
 from itertools import permutations, product
 from math import prod
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -52,6 +53,7 @@ from helpers import (
     walk_chi_dp,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 C4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
@@ -386,19 +388,82 @@ def test_boxes_partition_the_covers(regime, k):
 
 @pytest.mark.parametrize("regime, k", [("perfect", 2), ("perfect", 3), ("partial", 2)])
 def test_each_box_verdict_holds_on_its_covers(regime, k):
-    # a sample of each box: the coloring is independent in every cover
-    # credited to it, and no cover of an all-uncolorable box is colorable
-    rng = Random(4004 + k)
+    # every cover of each box: the coloring, from the union tables or the
+    # shared ones, is independent in every cover credited to it, and no
+    # cover of an all-uncolorable box is colorable
+    spared = 0
     for g in box_graphs(9001 + k, k, regime):
-        choices, boxes = decided_boxes(g, k, regime)
+        boxes = _BoxSearch(g, k, regime)
         for box, phi in boxes:
-            ranges = [_bits(dom) for dom in box]
-            for _ in range(4):
-                cover = box_cover(g, k, choices, [rng.choice(r) for r in ranges])
+            for digits in product(*map(_bits, box)):
+                cover = box_cover(g, k, boxes.choices, digits)
                 if phi is None:
                     assert not is_colorable(cover)
                 else:
                     assert is_independent(cover, PartialColoring(phi))
+        spared += boxes.spared
+    # the two permutations of [2] together match all four pairs, so no
+    # 2-fold perfect box has an edge to spare
+    assert (spared > 0) == ((regime, k) != ("perfect", 2))
+
+
+def permutation_domain(options, perms) -> int:
+    """The domain bitmask of the options that are these permutations of [k]."""
+    return sum(1 << options.index(tuple(enumerate(perm))) for perm in perms)
+
+
+def test_union_rows_stand_in_for_shared_rows_only_on_edges_that_can_be_spared():
+    boxes = _BoxSearch(K4, 3, "perfect")
+    full = (1 << 3) - 1
+    free = [p for p, (_, options) in enumerate(boxes.choices) if len(options) > 1]
+    one = [p for p, (_, options) in enumerate(boxes.choices) if len(options) == 1]
+    assert len(free) == len(one) == 3
+    a, b, c = free
+    options = boxes.choices[a][1]
+    box = [(1 << len(opts)) - 1 for _, opts in boxes.choices]
+    # edge a: the three rotations, which together match all 9 pairs;
+    # edge b: two permutations, which leave 3 pairs unmatched;
+    # edge c: four permutations whose rows 0 and 1 are full, so they
+    # leave one pair, (2, 0), unmatched
+    box[a] = permutation_domain(options, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    box[b] = permutation_domain(options, [(0, 1, 2), (1, 0, 2)])
+    box[c] = permutation_domain(options, [(0, 2, 1), (2, 0, 1), (0, 1, 2), (1, 0, 2)])
+    # both tables are filled in place, so keep a copy of the shared rows
+    shared = [{v: list(row) for v, row in nbrs.items()} for nbrs in boxes.tables(box)]
+    union, live = boxes.union_tables(box)
+
+    def rows(conf, p):
+        u, v = boxes.choices[p][0]
+        return conf[u][v], conf[v][u]
+
+    for p in one:
+        # a one-option edge has the same rows in both tables
+        assert rows(union, p) == rows(shared, p) == ([1, 2, 4], [1, 2, 4])
+    # the rotations share no pair and match every pair: shared rows in both
+    assert rows(shared, a) == ([0, 0, 0], [0, 0, 0]) == rows(union, a)
+    assert rows(shared, b) == ([0, 0, 4], [0, 0, 4])
+    assert rows(union, b) == ([3, 3, 4], [3, 3, 4])
+    assert rows(union, c) == ([full, full, 6], [3, full, full])
+    (u, v), _ = boxes.choices[c]
+    assert live[u] == 1 << 2 and live[v] == 1 << 0
+    assert all(live[w] == full for w in range(4) if w not in (u, v))
+    # edge b now rules color 0 out at v, the one color edge c leaves it:
+    # a vertex with no live color skips the union search, and so does a
+    # box with no edge to spare
+    assert boxes.choices[b][0][1] == v
+    box[b] = permutation_domain(options, [(0, 1, 2), (1, 0, 2), (1, 2, 0)])
+    assert boxes.union_tables(box) is None
+    assert boxes.union_tables([(1 << len(opts)) - 1 for _, opts in boxes.choices]) is None
+
+
+def test_union_tables_keep_the_criterion06_box_count_down():
+    # the first coloring of the shared tables decided 1,308 boxes here
+    lines = (ROOT / "perfbench" / "data" / "criterion06.g6").read_text().split()
+    graphs = [g for g in map(parse_graph6, lines) if candidate_filter(g, 3) is None]
+    assert len(graphs) == 11
+    searches = [_BoxSearch(g, 3, "perfect") for g in graphs]
+    assert all(phi is not None for boxes in searches for _, phi in boxes)
+    assert sum(boxes.boxes for boxes in searches) <= 500
 
 
 def test_boxes_match_brute_force_on_criterion06_candidate_n5():
