@@ -121,12 +121,14 @@ class Cover:
     naming the edge and the pair otherwise.
 
     A cover never changes, so what is computed from it is kept on it:
-    the conflict tables, built on first use, and ``_whole``, which holds
+    the conflict tables, built on first use; ``_whole``, which holds
     ``(find_coloring(c),)`` once the solver has searched the whole cover
-    with no target and no seed.  Equality and hashing ignore both.
+    with no target and no seed; and ``_critical``, ``is_critical(c)``
+    once it has been decided, else None.  Equality and hashing ignore
+    all three.
     """
 
-    __slots__ = ("base", "list_size", "_slots", "_conf", "_whole")
+    __slots__ = ("base", "list_size", "_slots", "_conf", "_whole", "_critical")
 
     def __init__(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping = {}):
         self._fill(base, sizes, matchings, bare=isinstance(base, SimpleGraph))
@@ -176,6 +178,7 @@ class Cover:
         self._slots = slots
         self._conf: ConflictTables | None = None
         self._whole: tuple[PartialColoring | None, ...] = ()
+        self._critical: bool | None = None
 
     @property
     def n(self) -> int:

@@ -11,7 +11,9 @@ never ask which kind they hold.  The graph6 codec implements
 the short form of McKay's format (n <= 62): one header byte ``n + 63``
 followed by ceil(n(n-1)/2 / 6) payload bytes carrying the upper triangle
 of the adjacency matrix in column order, six bits per byte, each offset
-by 63; the payload is read as one int and its set bits become edges.
+by 63; the payload is read as one int, and each set bit ORs its pair
+straight into the neighbor masks, through a table per n, with no edge
+list and no per-edge checks.
 Parse failures raise :class:`Graph6Error` naming the byte offset.
 """
 
@@ -57,6 +59,16 @@ class SimpleGraph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
+        self._hold(n, nbr)
+
+    @classmethod
+    def _from_masks(cls, n: int, nbr: list[int]) -> "SimpleGraph":
+        """The graph with these neighbor masks, unchecked: in range, loop-free, symmetric."""
+        g = cls.__new__(cls)
+        g._hold(n, nbr)
+        return g
+
+    def _hold(self, n: int, nbr: list[int]) -> None:
         self.n = n
         # _nbr[u] has bit w set when uw is an edge
         self._nbr: tuple[int, ...] = tuple(nbr)
@@ -264,9 +276,11 @@ def multigraph_from_json(data: object) -> MultiGraph:
 
 
 @cache
-def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The pair (u, v) each payload bit of an n-vertex graph6 string sets, last bit first."""
-    return tuple((u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))
+def _graph6_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(u, 1 << v, v, 1 << u) for the pair uv each payload bit sets, last bit first."""
+    return tuple(
+        (u, 1 << v, v, 1 << u) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1)
+    )
 
 
 def parse_graph6(text: str) -> SimpleGraph:
@@ -308,7 +322,15 @@ def parse_graph6(text: str) -> SimpleGraph:
         # the padding, under six bits, lies in the last byte
         raise Graph6Error("nonzero padding bits", nbytes)
     pairs = _graph6_pairs(n)
-    return SimpleGraph(n, [pairs[t] for t in _bits(payload >> pad)])
+    nbr = [0] * n
+    bits = payload >> pad
+    while bits:
+        low = bits & -bits
+        u, bit_v, v, bit_u = pairs[low.bit_length() - 1]
+        nbr[u] |= bit_v
+        nbr[v] |= bit_u
+        bits ^= low
+    return SimpleGraph._from_masks(n, nbr)
 
 
 def emit_graph6(g: SimpleGraph) -> str:

@@ -10,10 +10,11 @@ instances are expected to be desk scale (n at most about 13).
 
 A cover is decided once: ``find_coloring(c)`` with no target and no
 seed keeps its answer on the cover, and later calls without ``stats``
-(``is_colorable``, ``is_critical``) return it.  Calls with ``stats``
-always search.  Nothing is kept across covers, so ``revalidate_row``
-and ``certificate_is_valid``, which decode a fresh cover from its
-text, decide it again.  The deletion test of ``is_critical`` shares
+(``is_colorable``, ``is_critical``) return it; ``is_critical`` keeps
+its own answer too, so its deletion test runs once per cover.  Calls
+with ``stats`` always search.  Nothing is kept across covers, so
+``revalidate_row`` and ``certificate_is_valid``, which decode a fresh
+cover from its text, decide it again.  The deletion test of ``is_critical`` shares
 its searches: a coloring of G - u also settles every w that is the
 one neighbor conflicting with some color of u, and settles the whole
 test when some color of u conflicts with no neighbor.
@@ -45,7 +46,6 @@ skips it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -56,7 +56,6 @@ from .covers import (
     Cover,
     PartialColoring,
     _bits,
-    conflict_rows,
     cover_choices,
     cover_from_json_text,
     cover_to_json_text,
@@ -80,8 +79,6 @@ class SearchStats:
     """Counters filled in by find_coloring."""
 
     nodes_expanded: int = 0
-    max_depth: int = 0
-    elapsed: float = 0.0
 
 
 def _search(
@@ -90,8 +87,8 @@ def _search(
     """Pick a color for every vertex of todo, or None if impossible.
 
     avail[u] is the bitmask of u's surviving colors; the search consumes
-    it.  Vertices outside todo are ignored.  Nodes expanded and the
-    deepest level reached are added to stats.
+    it.  Vertices outside todo are ignored.  Nodes expanded are added
+    to stats.
     """
     order = sorted(todo)
     free = [False] * len(avail)
@@ -99,12 +96,9 @@ def _search(
         free[u] = True
     assignment: dict[int, int] = {}
     nodes = 0
-    deepest = 0
 
-    def search(depth: int) -> bool:
-        nonlocal nodes, deepest
-        if depth > deepest:
-            deepest = depth
+    def search() -> bool:
+        nonlocal nodes
         u = -1
         fewest = 0
         for x in order:
@@ -137,7 +131,7 @@ def _search(
                             break
             if not dead:
                 assignment[u] = i
-                if search(depth + 1):
+                if search():
                     return True
                 del assignment[u]
             for v, hit in removed:
@@ -145,9 +139,8 @@ def _search(
         free[u] = True
         return False
 
-    found = search(0)
+    found = search()
     stats.nodes_expanded += nodes
-    stats.max_depth = max(stats.max_depth, deepest)
     return assignment if found else None
 
 
@@ -168,7 +161,6 @@ def find_coloring(
     whole = target is None and seed is None
     if whole and stats is None and c._whole:
         return c._whole[0]
-    t0 = time.perf_counter()
     if seed is None:
         seed = PartialColoring()
     if not is_independent(c, seed):
@@ -186,11 +178,8 @@ def find_coloring(
             avail[v] &= ~row[j]
     local = SearchStats()
     assignment = _search(conf, avail, todo, local)
-    local.elapsed = time.perf_counter() - t0
     if stats is not None:
         stats.nodes_expanded = local.nodes_expanded
-        stats.max_depth = local.max_depth
-        stats.elapsed = local.elapsed
     found = None if assignment is None else seed.extended(assignment)
     if whole:
         c._whole = (found,)
@@ -229,10 +218,15 @@ def _survives_every_deletion(conf: ConflictTables, sizes: Iterable[int]) -> bool
 
 
 def is_critical(c: Cover) -> bool:
-    """Not colorable, yet colorable after dropping any one vertex."""
-    if is_colorable(c):
-        return False
-    return _survives_every_deletion(c.conflict_tables(), c.list_size)
+    """Not colorable, yet colorable after dropping any one vertex.
+
+    The answer is kept on the cover, so a cover is tested once.
+    """
+    if c._critical is None:
+        c._critical = not is_colorable(c) and _survives_every_deletion(
+            c.conflict_tables(), c.list_size
+        )
+    return c._critical
 
 
 _Rows = tuple[list[int], list[int]]
@@ -256,12 +250,20 @@ class _BoxSearch:
     is decided next.  An edge that got union rows holds no killer of a
     phi found on them.  The boxes yielded partition the covers, except
     that once ``bound`` is set, a box whose least cover (each domain's
-    lowest option) ranks at or above it is dropped undecided.  Shared
-    and union rows are memoised per (edge, domain) on the instance, so
-    they live for one call.  The instance counts the boxes it decides,
-    the uncolorable ones among them, the spared ones, whose phi came
-    from the union tables, and the deletion tests it runs; ``stats``
-    adds up the nodes of the box searches.
+    lowest option) ranks at or above it is dropped undecided.
+
+    An edge's shared rows, union rows and live colors on a domain are
+    built in one pass over its ``holds`` and memoised on the instance,
+    for one call, shared by the edges with the same options.  The shared
+    and the union table sets each keep the domain they hold for every
+    edge, and a new box rewrites only the edges whose domain changed,
+    usually one or two; the first box loads every edge in edge order,
+    so the dicts iterate in edge order.
+
+    The instance counts the boxes it decides, the uncolorable ones among
+    them, the spared ones, whose phi came from the union tables, and the
+    deletion tests it runs; ``stats`` adds up the nodes of the box
+    searches.
     """
 
     def __init__(self, g: SimpleGraph, k: int, regime: str):
@@ -274,22 +276,50 @@ class _BoxSearch:
         # picking option d at edge p adds d * weights[p] to a cover's rank
         sizes = [len(options) for _, options in self.choices]
         self.weights = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
-        self.conf: ConflictTables = [{} for _ in range(g.n)]
         self._rows: dict[tuple[int, int], _EdgeRows] = {}
-        # holds[p][i * k + j]: the options of edge p matching color i of u to color j of v
-        self.holds = []
+        # holds[p][i * k + j]: the options of edge p matching color i of u to color j of v;
+        # edges with equal options share one list, numbered _kind[p]
+        kinds: dict[tuple, tuple[int, list[int]]] = {}
+        self.holds: list[list[int]] = []
+        self._kind: list[int] = []
         for _, options in self.choices:
-            masks = [0] * (k * k)
-            for d, matching in enumerate(options):
-                for i, j in matching:
-                    masks[i * k + j] |= 1 << d
+            if options not in kinds:
+                masks = [0] * (k * k)
+                for d, matching in enumerate(options):
+                    for i, j in matching:
+                        masks[i * k + j] |= 1 << d
+                kinds[options] = (len(kinds), masks)
+            kind, masks = kinds[options]
             self.holds.append(masks)
+            self._kind.append(kind)
+        # the shared and the union table sets, with the domain each edge holds
+        m = len(self.choices)
+        self.conf: ConflictTables = [{} for _ in range(g.n)]
+        self._held = [0] * m
+        self._union: ConflictTables = [{} for _ in range(g.n)]
+        self._union_held = [0] * m
+        # filled for every edge by the first call
+        self._union_rows: list[_EdgeRows] = [None] * m  # type: ignore[list-item]
+        # a bit per edge the union set spares, and each vertex's live colors there
+        self._spare = 0
+        self._live = [(1 << k) - 1] * g.n
+        # incident[w]: (p, 2) for each edge p = (w, v), (p, 3) for each p = (u, w)
+        self._incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for p, ((u, v), _) in enumerate(self.choices):
+            self._incident[u].append((p, 2))
+            self._incident[v].append((p, 3))
 
     def tables(self, box: list[int]) -> ConflictTables:
-        """The conflict tables of the pairs each edge's whole domain shares."""
-        conf = self.conf
-        for p, ((u, v), _) in enumerate(self.choices):
-            conf[u][v], conf[v][u] = self._edge_rows(p, box[p])[0]
+        """The conflict tables of the pairs each edge's whole domain shares.
+
+        Patched in place on the edges whose domain changed since the last call.
+        """
+        conf, held = self.conf, self._held
+        for p, dom in enumerate(box):
+            if held[p] != dom:
+                held[p] = dom
+                (u, v), _ = self.choices[p]
+                conf[u][v], conf[v][u] = self._edge_rows(p, dom)[0]
         return conf
 
     def union_tables(self, box: list[int]) -> Optional[tuple[ConflictTables, list[int]]]:
@@ -300,43 +330,60 @@ class _BoxSearch:
         is live unless a union row rules out every color of a neighbor
         with it.  None when no edge can be spared, or when some vertex
         has no live color, so that the union tables have no coloring.
+        Patched in place like ``tables``; the live colors are a fresh
+        list, which the search may consume.
         """
-        conf = self.conf
-        live = [(1 << self.k) - 1] * len(conf)
-        spared = False
-        for p, ((u, v), _) in enumerate(self.choices):
-            shared, union, live_u, live_v = self._edge_rows(p, box[p])
-            conf[u][v], conf[v][u] = union or shared
-            live[u] &= live_u
-            live[v] &= live_v
-            spared = spared or union is not None
-        return (conf, live) if spared and all(live) else None
+        conf, held, rows = self._union, self._union_held, self._union_rows
+        moved = 0
+        for p, dom in enumerate(box):
+            if held[p] != dom:
+                held[p] = dom
+                rows[p] = shared, union, _, _ = self._edge_rows(p, dom)
+                (u, v), _ = self.choices[p]
+                conf[u][v], conf[v][u] = union or shared
+                self._spare = self._spare & ~(1 << p) | (union is not None) << p
+                moved |= 1 << u | 1 << v
+        live = self._live
+        for w in _bits(moved):
+            colors = (1 << self.k) - 1
+            for p, at in self._incident[w]:
+                colors &= rows[p][at]
+            live[w] = colors
+        return (conf, list(live)) if self._spare and all(live) else None
 
     def _edge_rows(self, p: int, dom: int) -> _EdgeRows:
         """Edge p's shared rows on a domain, and its union rows with the colors they leave live.
 
         An edge with one option, or whose options together match all
         k * k pairs, cannot be spared; its union rows are None and it
-        leaves every color live.
-        Memoised per (edge, domain) on the instance.
+        leaves every color live.  One pass over ``holds[p]`` builds all
+        of them.  Memoised per (options, domain) on the instance.
         """
-        memo = self._rows.get((p, dom))
+        kind = self._kind[p]
+        memo = self._rows.get((kind, dom))
         if memo is not None:
             return memo
         k, holds = self.k, self.holds[p]
         full = (1 << k) - 1
-        every = [divmod(x, k) for x, opts in enumerate(holds) if opts & dom == dom]
-        some = [divmod(x, k) for x, opts in enumerate(holds) if opts & dom]
-        shared = conflict_rows((every,), k, k)
-        if dom & (dom - 1) == 0 or len(some) == k * k:
-            memo = (shared, None, full, full)
+        fwd, bwd = [0] * k, [0] * k
+        some_fwd, some_bwd = [0] * k, [0] * k
+        for x, opts in enumerate(holds):
+            opts &= dom
+            if opts:
+                i, j = divmod(x, k)
+                some_fwd[i] |= 1 << j
+                some_bwd[j] |= 1 << i
+                if opts == dom:
+                    fwd[i] |= 1 << j
+                    bwd[j] |= 1 << i
+        # a color whose union row is full conflicts with every color across the edge
+        live_u = sum(1 << i for i, row in enumerate(some_fwd) if row != full)
+        live_v = sum(1 << j for j, row in enumerate(some_bwd) if row != full)
+        if dom & (dom - 1) == 0 or not live_u:
+            memo = ((fwd, bwd), None, full, full)
         else:
-            fwd, bwd = union = conflict_rows((some,), k, k)
-            # a color whose row is full conflicts with every color across the edge
-            live_u = sum(1 << i for i, row in enumerate(fwd) if row != full)
-            live_v = sum(1 << j for j, row in enumerate(bwd) if row != full)
-            memo = (shared, union, live_u, live_v)
-        self._rows[p, dom] = memo
+            memo = ((fwd, bwd), (some_fwd, some_bwd), live_u, live_v)
+        self._rows[kind, dom] = memo
         return memo
 
     def __iter__(self) -> Iterator[tuple[list[int], Optional[dict[int, int]]]]:

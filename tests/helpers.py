@@ -279,6 +279,39 @@ def deletion_test_by_vertex(conf: ConflictTables, sizes) -> bool:
     )
 
 
+def box_tables_from_scratch(
+    choices: EdgeChoices, n: int, k: int, box
+) -> tuple[ConflictTables, Optional[tuple[ConflictTables, list[int]]]]:
+    """A box's shared tables and its union tables with live colors, built afresh.
+
+    The oracle of ``_BoxSearch.tables`` and ``_BoxSearch.union_tables``:
+    every edge, in edge order, gets the rows ``conflict_rows`` makes of
+    the pairs all options in its domain match (shared) or some option
+    matches (union).  An edge is spared when its domain has more than
+    one option and leaves some pair unmatched; a color is live unless a
+    spared edge's union row for it is full.  The union side is None when
+    no edge is spared or some vertex has no live color.
+    """
+    full = (1 << k) - 1
+    shared: ConflictTables = [{} for _ in range(n)]
+    union: ConflictTables = [{} for _ in range(n)]
+    live = [full] * n
+    spared = False
+    for ((u, v), options), dom in zip(choices, box):
+        picked = [set(options[d]) for d in range(len(options)) if dom >> d & 1]
+        every = sorted(set.intersection(*picked))
+        some = sorted(set.union(*picked))
+        shared[u][v], shared[v][u] = conflict_rows((every,), k, k)
+        if len(picked) > 1 and len(some) < k * k:
+            spared = True
+            union[u][v], union[v][u] = fwd, bwd = conflict_rows((some,), k, k)
+            live[u] &= sum(1 << i for i, row in enumerate(fwd) if row != full)
+            live[v] &= sum(1 << j for j, row in enumerate(bwd) if row != full)
+        else:
+            union[u][v], union[v][u] = shared[u][v], shared[v][u]
+    return shared, ((union, live) if spared and all(live) else None)
+
+
 # ---------------------------------------------------------------------------
 # random instances
 

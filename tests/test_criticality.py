@@ -3,8 +3,9 @@
 ``_survives_every_deletion`` lets one coloring of G - u settle every
 deletion it can, and must agree with one search per vertex
 (``helpers.deletion_test_by_vertex``) and with brute force.  A ``Cover``
-keeps the answer of its whole-cover search; callers that pass ``stats``,
-a target or a seed always get a search of their own.
+keeps the answer of its whole-cover search and its criticality, so a
+cover gets one deletion test; callers that pass ``stats``, a target or
+a seed always get a search of their own.
 """
 
 import copy
@@ -225,9 +226,48 @@ def test_equality_and_hash_ignore_the_kept_answer():
     for _, cover in PLANTED:
         decided, undecided = fresh(cover), fresh(cover)
         find_coloring(decided)
-        is_critical(decided)
+        critical = is_critical(decided)
+        # both answers are kept on the decided cover, none on the other
+        assert decided._whole and decided._critical is critical
+        assert not undecided._whole and undecided._critical is None
         assert decided == undecided and hash(decided) == hash(undecided)
         assert len({decided, undecided}) == 1
+
+
+def count_deletion_tests(monkeypatch) -> list[int]:
+    """Count the calls the solver makes to its deletion test from now on."""
+    calls = [0]
+    test = dpcolor.solver._survives_every_deletion
+
+    def counted(*args):
+        calls[0] += 1
+        return test(*args)
+
+    monkeypatch.setattr(dpcolor.solver, "_survives_every_deletion", counted)
+    return calls
+
+
+def test_criticality_is_decided_once_per_cover(monkeypatch):
+    # is_critical, then the structure check, which asks is_critical
+    # again: one deletion test serves all three
+    _, twisted = make_c4_covers()
+    g = make_dirac(3, 1)
+    dirac = cover_from_lists(g, [[0, 1, 2]] * g.n)
+    calls = count_deletion_tests(monkeypatch)
+    for cover in (fresh(twisted), dirac):
+        before = calls[0]
+        assert is_critical(cover)
+        verify_critical_structure(cover)
+        assert is_critical(cover)
+        assert calls[0] == before + 1
+    # a colorable cover needs no deletion test, and keeps its False
+    straight, _ = make_c4_covers()
+    straight = fresh(straight)
+    before = calls[0]
+    assert not is_critical(straight) and not is_critical(straight)
+    assert calls[0] == before
+    # a fresh copy of a decided cover decides again
+    assert is_critical(fresh(twisted)) and calls[0] == before + 1
 
 
 @pytest.mark.parametrize("duplicate", [copy.copy, lambda c: pickle.loads(pickle.dumps(c))])

@@ -162,13 +162,18 @@ class TestGraph6:
             assert emit_graph6(from_nx(G)) == s
 
     def test_random_round_trips_match_reference_encoder(self):
+        # up to the short form's n = 62; the parse builds its masks
+        # unchecked, so its counts must match the validating constructor
         rng = Random(60341)
-        for _ in range(100):
-            n = rng.randint(1, 10)
+        for n in [rng.randint(1, 10) for _ in range(100)] + list(range(11, 63)):
             g = random_connected_graph(rng, n, extra_p=rng.random())
             s = emit_graph6(g)
             assert s == nx_graph6(to_nx(g))
-            assert parse_graph6(s) == g
+            parsed = parse_graph6(s)
+            assert parsed == g and hash(parsed) == hash(g)
+            assert (parsed.n, parsed.m) == (g.n, g.m)
+            assert parsed.degrees() == g.degrees()
+            assert parsed.edges() == g.edges()
 
     def test_error_offsets(self):
         with pytest.raises(Graph6Error) as e:

@@ -42,6 +42,7 @@ from dpcolor.solver import _BoxSearch
 
 from helpers import (
     atlas_connected,
+    box_tables_from_scratch,
     brute_force_colorings,
     connected_cubic_8,
     cover_colorings,
@@ -405,6 +406,56 @@ def test_each_box_verdict_holds_on_its_covers(regime, k):
     # the two permutations of [2] together match all four pairs, so no
     # 2-fold perfect box has an edge to spare
     assert (spared > 0) == ((regime, k) != ("perfect", 2))
+
+
+def entries(conf) -> list[list]:
+    """Every row of a table set in dict order: what a search reads."""
+    return [list(nbrs.items()) for nbrs in conf]
+
+
+@pytest.mark.parametrize("regime, k", [("perfect", 2), ("perfect", 3), ("partial", 2)])
+def test_patched_tables_match_tables_built_from_scratch(regime, k):
+    # both table sets are patched on the edges whose domain changed; each
+    # call must still give what building afresh gives, row for row and in
+    # dict order: on the boxes the search decides, on each box it yields
+    # (cut down to the covers phi colors), and on the one-bit boxes of
+    # the deletion test
+    outcomes = Counter()
+    deletion_tests = 0
+    for g in box_graphs(9001 + k, k, regime):
+        boxes = _BoxSearch(g, k, regime)
+        union_tables, tables = boxes.union_tables, boxes.tables
+
+        def checked_union(box):
+            got = union_tables(box)
+            _, want = box_tables_from_scratch(boxes.choices, g.n, k, box)
+            if want is None:
+                assert got is None
+            else:
+                assert (entries(got[0]), got[1]) == (entries(want[0]), want[1])
+            outcomes[got is None] += 1
+            return got
+
+        def checked_tables(box):
+            got = tables(box)
+            assert entries(got) == entries(box_tables_from_scratch(boxes.choices, g.n, k, box)[0])
+            return got
+
+        boxes.union_tables, boxes.tables = checked_union, checked_tables
+        for box, phi in boxes:
+            spare = checked_union(box)
+            if spare is not None:
+                # the search consumes the live colors it is given
+                spare[1][:] = [0] * g.n
+            checked_tables(box)
+            if phi is None:
+                for cover in product(*(tuple(1 << d for d in _bits(dom)) for dom in box)):
+                    boxes.deletion_test(cover)
+        deletion_tests += boxes.deletion_tests
+    assert deletion_tests > 0
+    # two permutations of [2] match all four pairs: no union tables at perfect k = 2
+    assert outcomes[True] > 0
+    assert (outcomes[False] > 0) == ((regime, k) != ("perfect", 2))
 
 
 def permutation_domain(options, perms) -> int:

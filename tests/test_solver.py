@@ -104,9 +104,7 @@ class TestFindColoring:
         _, twisted = make_c4_covers()
         stats = SearchStats()
         find_coloring(twisted, stats=stats)
-        assert stats.nodes_expanded >= stats.max_depth >= 0
         assert stats.nodes_expanded > 0
-        assert stats.elapsed >= 0.0
 
 
 class TestIsColorable:
