@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a completed query or an upheld claim, 2 when a sweep
 or structure check surfaces a genuine refutation, 1 for usage, input,
-or precondition errors.
+or precondition errors, input nested or sized past Python's recursion
+limit among them.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -568,7 +568,8 @@ def cover_to_json_text(c: Cover) -> str:
 def cover_from_json_text(text: str) -> Cover:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the JSON reader can follow
         raise ValueError(f"invalid cover JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("cover JSON must be an object")
@@ -585,7 +586,8 @@ def coloring_from_json_text(text: str) -> PartialColoring | None:
     """Read ``null`` or a list of [vertex, color] int pairs; anything else raises ValueError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the JSON reader can follow
         raise ValueError(f"invalid coloring JSON: {exc}") from None
     if data is None:
         return None

@@ -34,7 +34,7 @@ from .graphs import (
     parse_graph6,
 )
 from .recognize import is_gdp_forest, recognize_dirac
-from .solver import _BoxSearch, _first_critical, is_critical
+from .solver import _BoxSearch, is_critical
 
 logger = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ def _sweep_one(args: tuple[SimpleGraph, int, str, bool]) -> DiracReportRow:
     g, k, regime, is_dirac = args
     t0 = time.perf_counter()
     boxes = _BoxSearch(g, k, regime)
-    examined, witness = _first_critical(boxes)
+    examined, witness = boxes.first_critical()
     seconds = time.perf_counter() - t0
     graph6 = emit_graph6(g)
     logger.info(

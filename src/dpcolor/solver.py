@@ -41,7 +41,8 @@ tables too, which hold fewer pairs.  Only when the union tables have no
 coloring, or no edge can be spared, is the search run on the shared
 tables.  Before the union search, a color whose union row toward some
 neighbor is full is dropped, and a box where a vertex has no color left
-skips it.
+skips it.  Both table sets of a box come from one load, which patches
+them together on the edges whose domain changed since the last box.
 """
 
 from __future__ import annotations
@@ -254,11 +255,12 @@ class _BoxSearch:
 
     An edge's shared rows, union rows and live colors on a domain are
     built in one pass over its ``holds`` and memoised on the instance,
-    for one call, shared by the edges with the same options.  The shared
-    and the union table sets each keep the domain they hold for every
-    edge, and a new box rewrites only the edges whose domain changed,
-    usually one or two; the first box loads every edge in edge order,
-    so the dicts iterate in edge order.
+    for one call, shared by the edges with the same options.  ``load``
+    fills both table sets in one pass over a box, keeping one list of
+    the domain each edge holds in them: a new box rewrites both sets
+    only on the edges whose domain changed, usually one or two, and
+    recomputes live colors only at their ends.  The first box loads
+    every edge in edge order, so the dicts iterate in edge order.
 
     The instance counts the boxes it decides, the uncolorable ones among
     them, the spared ones, whose phi came from the union tables, and the
@@ -292,14 +294,13 @@ class _BoxSearch:
             kind, masks = kinds[options]
             self.holds.append(masks)
             self._kind.append(kind)
-        # the shared and the union table sets, with the domain each edge holds
+        # the shared and the union table sets, the domain each edge holds in
+        # both, and the rows it was loaded with (filled for every edge by the first load)
         m = len(self.choices)
         self.conf: ConflictTables = [{} for _ in range(g.n)]
+        self.union: ConflictTables = [{} for _ in range(g.n)]
         self._held = [0] * m
-        self._union: ConflictTables = [{} for _ in range(g.n)]
-        self._union_held = [0] * m
-        # filled for every edge by the first call
-        self._union_rows: list[_EdgeRows] = [None] * m  # type: ignore[list-item]
+        self._loaded: list[_EdgeRows] = [None] * m  # type: ignore[list-item]
         # a bit per edge the union set spares, and each vertex's live colors there
         self._spare = 0
         self._live = [(1 << k) - 1] * g.n
@@ -309,47 +310,37 @@ class _BoxSearch:
             self._incident[u].append((p, 2))
             self._incident[v].append((p, 3))
 
-    def tables(self, box: list[int]) -> ConflictTables:
-        """The conflict tables of the pairs each edge's whole domain shares.
+    def load(self, box: Iterable[int]) -> Optional[list[int]]:
+        """Load a box into ``conf``, its shared tables, and ``union``, its union tables.
 
-        Patched in place on the edges whose domain changed since the last call.
+        The shared tables hold the pairs each edge's whole domain shares.
+        In the union tables an edge that can be spared gets the pairs some
+        option in its domain matches, and the others keep their shared
+        pairs.  Both are patched in place on the edges whose domain changed
+        since the last load.  Returns each vertex's live colors in the
+        union tables, a fresh list the search may consume: a color of u is
+        live unless a union row rules out every color of a neighbor with
+        it.  None when no edge can be spared, or when some vertex has no
+        live color, so that the union tables have no coloring.
         """
-        conf, held = self.conf, self._held
-        for p, dom in enumerate(box):
-            if held[p] != dom:
-                held[p] = dom
-                (u, v), _ = self.choices[p]
-                conf[u][v], conf[v][u] = self._edge_rows(p, dom)[0]
-        return conf
-
-    def union_tables(self, box: list[int]) -> Optional[tuple[ConflictTables, list[int]]]:
-        """The tables that spare every edge they can, with each vertex's live colors.
-
-        An edge that can be spared gets the pairs some option in its
-        domain matches; the others keep their shared pairs.  A color of u
-        is live unless a union row rules out every color of a neighbor
-        with it.  None when no edge can be spared, or when some vertex
-        has no live color, so that the union tables have no coloring.
-        Patched in place like ``tables``; the live colors are a fresh
-        list, which the search may consume.
-        """
-        conf, held, rows = self._union, self._union_held, self._union_rows
+        conf, union, held, loaded = self.conf, self.union, self._held, self._loaded
         moved = 0
         for p, dom in enumerate(box):
             if held[p] != dom:
                 held[p] = dom
-                rows[p] = shared, union, _, _ = self._edge_rows(p, dom)
+                loaded[p] = shared, spare, _, _ = self._edge_rows(p, dom)
                 (u, v), _ = self.choices[p]
-                conf[u][v], conf[v][u] = union or shared
-                self._spare = self._spare & ~(1 << p) | (union is not None) << p
+                conf[u][v], conf[v][u] = shared
+                union[u][v], union[v][u] = spare or shared
+                self._spare = self._spare & ~(1 << p) | (spare is not None) << p
                 moved |= 1 << u | 1 << v
         live = self._live
         for w in _bits(moved):
             colors = (1 << self.k) - 1
             for p, at in self._incident[w]:
-                colors &= rows[p][at]
+                colors &= loaded[p][at]
             live[w] = colors
-        return (conf, list(live)) if self._spare and all(live) else None
+        return list(live) if self._spare and all(live) else None
 
     def _edge_rows(self, p: int, dom: int) -> _EdgeRows:
         """Edge p's shared rows on a domain, and its union rows with the colors they leave live.
@@ -397,12 +388,12 @@ class _BoxSearch:
             if self.bound is not None and self.rank(dom & -dom for dom in box) >= self.bound:
                 continue
             self.boxes += 1
-            spare = self.union_tables(box)
-            phi = None if spare is None else _search(*spare, range(n), self.stats)
+            live = self.load(box)
+            phi = None if live is None else _search(self.union, live, range(n), self.stats)
             if phi is not None:
                 self.spared += 1
             else:
-                phi = _search(self.tables(box), [full] * n, range(n), self.stats)
+                phi = _search(self.conf, [full] * n, range(n), self.stats)
             if phi is None:
                 self.uncolorable += 1
                 yield box, None
@@ -429,7 +420,25 @@ class _BoxSearch:
         Only asked of covers in uncolorable boxes, which are uncolorable.
         """
         self.deletion_tests += 1
-        return _survives_every_deletion(self.tables(cover), [self.k] * len(self.conf))
+        self.load(cover)
+        return _survives_every_deletion(self.conf, [self.k] * len(self.conf))
+
+    def first_critical(self) -> tuple[int, Optional[Cover]]:
+        """``first_critical_cover`` on these covers; the instance keeps its counters."""
+        best: Optional[tuple[int, ...]] = None
+        for box, phi in self:
+            if phi is not None:
+                continue
+            for cover in product(*(tuple(1 << d for d in _bits(dom)) for dom in box)):
+                if best is not None and self.rank(cover) >= self.bound:
+                    break
+                if self.deletion_test(cover):
+                    best, self.bound = cover, self.rank(cover)
+                    break
+        if best is None:
+            return prod(len(options) for _, options in self.choices), None
+        picked = {e: options[dom.bit_length() - 1] for (e, options), dom in zip(self.choices, best)}
+        return self.bound + 1, Cover(self.graph, [self.k] * self.graph.n, picked)
 
 
 def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Optional[Cover]]:
@@ -443,25 +452,7 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
     box in cover order up to the least critical cover found so far.
     That cover's rank bounds the box search from then on.
     """
-    return _first_critical(_BoxSearch(g, k, regime))
-
-
-def _first_critical(boxes: _BoxSearch) -> tuple[int, Optional[Cover]]:
-    """``first_critical_cover`` on the covers of this box search, which keeps its counters."""
-    best: Optional[tuple[int, ...]] = None
-    for box, phi in boxes:
-        if phi is not None:
-            continue
-        for cover in product(*(tuple(1 << d for d in _bits(dom)) for dom in box)):
-            if best is not None and boxes.rank(cover) >= boxes.bound:
-                break
-            if boxes.deletion_test(cover):
-                best, boxes.bound = cover, boxes.rank(cover)
-                break
-    if best is None:
-        return prod(len(options) for _, options in boxes.choices), None
-    picked = {e: options[dom.bit_length() - 1] for (e, options), dom in zip(boxes.choices, best)}
-    return boxes.bound + 1, Cover(boxes.graph, [boxes.k] * boxes.graph.n, picked)
+    return _BoxSearch(g, k, regime).first_critical()
 
 
 def _chi_dp_connected(g: SimpleGraph, max_k: Optional[int]) -> int:

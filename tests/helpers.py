@@ -281,16 +281,17 @@ def deletion_test_by_vertex(conf: ConflictTables, sizes) -> bool:
 
 def box_tables_from_scratch(
     choices: EdgeChoices, n: int, k: int, box
-) -> tuple[ConflictTables, Optional[tuple[ConflictTables, list[int]]]]:
-    """A box's shared tables and its union tables with live colors, built afresh.
+) -> tuple[ConflictTables, ConflictTables, Optional[list[int]]]:
+    """A box's shared tables, its union tables and their live colors, built afresh.
 
-    The oracle of ``_BoxSearch.tables`` and ``_BoxSearch.union_tables``:
-    every edge, in edge order, gets the rows ``conflict_rows`` makes of
-    the pairs all options in its domain match (shared) or some option
-    matches (union).  An edge is spared when its domain has more than
-    one option and leaves some pair unmatched; a color is live unless a
-    spared edge's union row for it is full.  The union side is None when
-    no edge is spared or some vertex has no live color.
+    The oracle of ``_BoxSearch.load``: every edge, in edge order, gets
+    the rows ``conflict_rows`` makes of the pairs all options in its
+    domain match (shared) or some option matches (union).  An edge is
+    spared when its domain has more than one option and leaves some
+    pair unmatched; the union tables give the other edges their shared
+    rows.  A color is live unless a spared edge's union row for it is
+    full.  The live colors are None when no edge is spared or some
+    vertex has no live color.
     """
     full = (1 << k) - 1
     shared: ConflictTables = [{} for _ in range(n)]
@@ -309,7 +310,7 @@ def box_tables_from_scratch(
             live[v] &= sum(1 << j for j, row in enumerate(bwd) if row != full)
         else:
             union[u][v], union[v][u] = shared[u][v], shared[v][u]
-    return shared, ((union, live) if spared and all(live) else None)
+    return shared, union, (live if spared and all(live) else None)
 
 
 # ---------------------------------------------------------------------------

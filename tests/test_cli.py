@@ -90,6 +90,15 @@ class TestSolve:
             '{"graph6":"A_","k":true}',
             '{"graph6":"A_","k":2,"matchings":{"0-1":[[true,0]]}}',
             '{"multigraph":{"n":3,"edges":[[0,true,2]]},"k":2}',
+            # deeper than the JSON reader can follow
+            pytest.param("[" * 100000 + "]" * 100000, id="deep-array"),
+            # a valid cover whose search, one level per vertex, recurses too deep
+            pytest.param(
+                json.dumps(
+                    {"multigraph": {"n": 1500, "edges": [[i, i + 1, 1] for i in range(1499)]}, "k": 2}
+                ),
+                id="path-1500",
+            ),
         ],
     )
     def test_malformed_cover_exits_1(self, tmp_path, capsys, doc):
@@ -181,6 +190,8 @@ class TestRecognize:
             '{"n":3,"edges":[[0,1]]}',
             '{"n":true,"edges":[]}',
             '{"n":3,"edges":[[0,1,true]]}',
+            # deeper than the JSON reader can follow
+            "[" * 3000 + "]" * 3000,
         ):
             assert main(["recognize", "--what", "brick", "--multigraph", doc, "--k", "3"]) == 1
             assert capsys.readouterr().err.startswith("error: ")

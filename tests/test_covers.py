@@ -513,6 +513,9 @@ class TestJson:
             cover_from_json({"graph6": "Cl", "matchings": {}})
         with pytest.raises((ValueError, json.JSONDecodeError)):
             cover_from_json_text("not json")
+        # deeper than the JSON reader can follow
+        with pytest.raises(ValueError, match="invalid cover JSON"):
+            cover_from_json_text("[" * 100000 + "]" * 100000)
 
     @pytest.mark.parametrize(
         "doc",
@@ -595,6 +598,7 @@ class TestJson:
             "[[-1, 0]]",
             "[[0, 1]",
             "",
+            pytest.param("[" * 100000 + "]" * 100000, id="deep-array"),
         ],
     )
     def test_malformed_coloring_raises_value_error(self, text):

@@ -27,6 +27,7 @@ from dpcolor import (
     chi_dp,
     count_covers,
     cover_choices,
+    emit_graph6,
     enumerate_covers,
     first_critical_cover,
     find_coloring,
@@ -415,39 +416,32 @@ def entries(conf) -> list[list]:
 
 @pytest.mark.parametrize("regime, k", [("perfect", 2), ("perfect", 3), ("partial", 2)])
 def test_patched_tables_match_tables_built_from_scratch(regime, k):
-    # both table sets are patched on the edges whose domain changed; each
-    # call must still give what building afresh gives, row for row and in
-    # dict order: on the boxes the search decides, on each box it yields
-    # (cut down to the covers phi colors), and on the one-bit boxes of
-    # the deletion test
+    # one load patches both table sets on the edges whose domain changed;
+    # each load must still give what building afresh gives, row for row
+    # and in dict order, with the same live colors or None: on the boxes
+    # the search decides, on each box it yields (cut down to the covers
+    # phi colors), and on the one-bit boxes of the deletion test
     outcomes = Counter()
     deletion_tests = 0
     for g in box_graphs(9001 + k, k, regime):
         boxes = _BoxSearch(g, k, regime)
-        union_tables, tables = boxes.union_tables, boxes.tables
+        load = boxes.load
 
-        def checked_union(box):
-            got = union_tables(box)
-            _, want = box_tables_from_scratch(boxes.choices, g.n, k, box)
-            if want is None:
-                assert got is None
-            else:
-                assert (entries(got[0]), got[1]) == (entries(want[0]), want[1])
-            outcomes[got is None] += 1
-            return got
+        def checked_load(box):
+            live = load(box)
+            shared, union, want = box_tables_from_scratch(boxes.choices, g.n, k, box)
+            assert entries(boxes.conf) == entries(shared)
+            assert entries(boxes.union) == entries(union)
+            assert live == want
+            outcomes[live is None] += 1
+            return live
 
-        def checked_tables(box):
-            got = tables(box)
-            assert entries(got) == entries(box_tables_from_scratch(boxes.choices, g.n, k, box)[0])
-            return got
-
-        boxes.union_tables, boxes.tables = checked_union, checked_tables
+        boxes.load = checked_load
         for box, phi in boxes:
-            spare = checked_union(box)
-            if spare is not None:
+            live = checked_load(box)
+            if live is not None:
                 # the search consumes the live colors it is given
-                spare[1][:] = [0] * g.n
-            checked_tables(box)
+                live[:] = [0] * g.n
             if phi is None:
                 for cover in product(*(tuple(1 << d for d in _bits(dom)) for dom in box)):
                     boxes.deletion_test(cover)
@@ -479,9 +473,8 @@ def test_union_rows_stand_in_for_shared_rows_only_on_edges_that_can_be_spared():
     box[a] = permutation_domain(options, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
     box[b] = permutation_domain(options, [(0, 1, 2), (1, 0, 2)])
     box[c] = permutation_domain(options, [(0, 2, 1), (2, 0, 1), (0, 1, 2), (1, 0, 2)])
-    # both tables are filled in place, so keep a copy of the shared rows
-    shared = [{v: list(row) for v, row in nbrs.items()} for nbrs in boxes.tables(box)]
-    union, live = boxes.union_tables(box)
+    live = boxes.load(box)
+    shared, union = boxes.conf, boxes.union
 
     def rows(conf, p):
         u, v = boxes.choices[p][0]
@@ -503,18 +496,62 @@ def test_union_rows_stand_in_for_shared_rows_only_on_edges_that_can_be_spared():
     # box with no edge to spare
     assert boxes.choices[b][0][1] == v
     box[b] = permutation_domain(options, [(0, 1, 2), (1, 0, 2), (1, 2, 0)])
-    assert boxes.union_tables(box) is None
-    assert boxes.union_tables([(1 << len(opts)) - 1 for _, opts in boxes.choices]) is None
+    assert boxes.load(box) is None
+    assert boxes.load([(1 << len(opts)) - 1 for _, opts in boxes.choices]) is None
+
+
+def search_counters(g: SimpleGraph, k: int, regime: str) -> tuple[int, ...]:
+    """(boxes, uncolorable, spared, nodes, deletion_tests) of one ``first_critical`` run."""
+    boxes = _BoxSearch(g, k, regime)
+    boxes.first_critical()
+    return boxes.boxes, boxes.uncolorable, boxes.spared, boxes.stats.nodes_expanded, boxes.deletion_tests
+
+
+# the counters of the 11 frozen criterion-06 candidates, in stream order;
+# they move only when what the box search searches moves
+CRITERION06_COUNTERS = [
+    ("Dl{", (37, 0, 18, 473, 0)),
+    ("EtTg", (18, 0, 15, 149, 0)),
+    ("ElUg", (18, 0, 15, 121, 0)),
+    ("FBjN_", (50, 0, 39, 570, 0)),
+    ("FLNMO", (40, 0, 31, 377, 0)),
+    ("Frq_w", (41, 0, 31, 373, 0)),
+    ("G}GOW[", (40, 0, 31, 480, 0)),
+    ("G{S_g[", (65, 0, 31, 1071, 0)),
+    ("G{O_ww", (39, 0, 31, 401, 0)),
+    ("GsXP_[", (46, 0, 31, 556, 0)),
+    ("GsXPGs", (46, 0, 31, 530, 0)),
+]
+
+
+def test_criterion06_search_counters_are_pinned():
+    lines = (ROOT / "perfbench" / "data" / "criterion06.g6").read_text().split()
+    graphs = [g for g in map(parse_graph6, lines) if candidate_filter(g, 3) is None]
+    assert [(emit_graph6(g), search_counters(g, 3, "perfect")) for g in graphs] == (
+        CRITERION06_COUNTERS
+    )
+
+
+@pytest.mark.parametrize(
+    "g, k, regime, want",
+    [
+        # the k-Dirac graph that --include-dirac adds to the stream
+        (parse_graph6("F{cZG"), 3, "perfect", (21, 1, 12, 384, 1)),
+        (make_dirac(4, 1), 4, "perfect", (5865, 1, 2971, 98450, 1)),
+        (make_dirac(4, 2), 4, "perfect", (708, 1, 323, 21034, 1)),
+        # W4, 34**8 covers
+        (parse_graph6("Dl{"), 3, "partial", (22391, 0, 6071, 351648, 0)),
+    ],
+    ids=["F{cZG", "dirac-4-1", "dirac-4-2", "W4-partial"],
+)
+def test_search_counters_are_pinned(g, k, regime, want):
+    assert search_counters(g, k, regime) == want
 
 
 def test_union_tables_keep_the_criterion06_box_count_down():
-    # the first coloring of the shared tables decided 1,308 boxes here
-    lines = (ROOT / "perfbench" / "data" / "criterion06.g6").read_text().split()
-    graphs = [g for g in map(parse_graph6, lines) if candidate_filter(g, 3) is None]
-    assert len(graphs) == 11
-    searches = [_BoxSearch(g, 3, "perfect") for g in graphs]
-    assert all(phi is not None for boxes in searches for _, phi in boxes)
-    assert sum(boxes.boxes for boxes in searches) <= 500
+    # the first coloring of the shared tables decided 1,308 boxes here;
+    # the pin above holds the counts the search really makes
+    assert sum(counters[0] for _, counters in CRITERION06_COUNTERS) <= 500
 
 
 def test_boxes_match_brute_force_on_criterion06_candidate_n5():
