@@ -2,8 +2,8 @@
 
 Exit codes: 0 for a completed query or an upheld claim, 2 when a sweep
 or structure check surfaces a genuine refutation, 1 for usage, input,
-or precondition errors, input nested or sized past Python's recursion
-limit among them.
+or precondition errors, input nested past Python's recursion limit
+among them.
 """
 
 from __future__ import annotations

@@ -22,17 +22,19 @@ graph in one of two regimes:
   injections of [k], with no relabeling reduction, giving P(k)^m covers
   where P(k) = sum_r C(k,r)^2 r!.
 
-For search, a cover is compiled to conflict tables: ``conf[u][v][i]`` is
-the bitmask of the colors of v matched to color i of u, the union over
-parallel edges.  Bit j stands for color j.
+A cover is stored as the conflict tables the solver searches, built in
+the one pass that checks each matching: ``conf[u][v][i]`` is the bitmask
+of the colors of v matched to color i of u, the union over parallel
+edges.  Bit j stands for color j.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Optional, Union
 
 from .graphs import (
     BaseGraph,
@@ -52,6 +54,11 @@ EdgeChoices = tuple[tuple[tuple[int, int], tuple[Matching, ...]], ...]
 # conf[u][v][i]: bitmask of the colors of v matched to color i of u
 ConflictTables = list[dict[int, list[int]]]
 
+# one matching of the pair (u, v) as its rows u -> v and v -> u; per pair, each
+# slot's rows, or None for a slot not given
+_SlotRows = tuple[list[int], list[int]]
+_Given = dict[tuple[int, int], list[Optional[_SlotRows]]]
+
 
 def conflict_rows(
     slots: Iterable[Matching], size_u: int, size_v: int
@@ -66,41 +73,56 @@ def conflict_rows(
     return fwd, bwd
 
 
-def _normalize_matching(
+def _checked_slot(
     pairs: Iterable, e: tuple[int, int], s: int, count: int, sizes: Sequence[int], flip: bool
-) -> Matching:
-    """Slot s of the pair e = (u, v), which has count slots, as sorted (i, j) pairs.
+) -> _SlotRows:
+    """Slot s of the pair e = (u, v), which has count slots, as its rows u -> v and v -> u.
 
-    Each i must be a color of u and each j a color of v, and no color may
-    be matched twice.  With flip set the given pairs read (j, i).
+    The pairs are checked in the order given: each i must be a color of u
+    and each j a color of v, and no color may be matched twice, which the
+    rows already show when a pair comes to be written.  With flip set the
+    given pairs read (j, i).
     """
     u, v = e
     size_u, size_v = sizes[u], sizes[v]
+    fwd, bwd = [0] * size_u, [0] * size_v
     problem = None
     try:
-        out = sorted((j, i) if flip else (i, j) for i, j in pairs)
-    except (TypeError, ValueError):  # not iterable, an entry not a pair, or mixed types
-        out, problem = [], f"matching {pairs!r} is not a list of int pairs"
-    used_u = used_v = 0
-    for i, j in out:
-        if not (is_json_int(i) and is_json_int(j)):
-            problem = f"matching {pairs!r} is not a list of int pairs"
-        elif not 0 <= i < size_u:
-            problem = f"pair {(i, j)} has no color {i} at vertex {u}"
-        elif not 0 <= j < size_v:
-            problem = f"pair {(i, j)} has no color {j} at vertex {v}"
-        elif used_u >> i & 1:
-            problem = f"pair {(i, j)} matches color {i} of vertex {u} twice"
-        elif used_v >> j & 1:
-            problem = f"pair {(i, j)} matches color {j} of vertex {v} twice"
-        if problem is not None:
+        for i, j in pairs:
+            if flip:
+                i, j = j, i
+            # is_json_int, inlined: this loop runs once per pair of every cover read
+            if type(i) is not int or type(j) is not int:
+                problem = f"matching {pairs!r} is not a list of int pairs"
+            elif not 0 <= i < size_u:
+                problem = f"pair {(i, j)} has no color {i} at vertex {u}"
+            elif not 0 <= j < size_v:
+                problem = f"pair {(i, j)} has no color {j} at vertex {v}"
+            elif fwd[i]:
+                problem = f"pair {(i, j)} matches color {i} of vertex {u} twice"
+            elif bwd[j]:
+                problem = f"pair {(i, j)} matches color {j} of vertex {v} twice"
+            else:
+                fwd[i] = 1 << j
+                bwd[j] = 1 << i
+                continue
             break
-        used_u |= 1 << i
-        used_v |= 1 << j
+    except (TypeError, ValueError):  # not iterable, or an entry not a pair
+        problem = f"matching {pairs!r} is not a list of int pairs"
     if problem is not None:
         where = f"edge {e}" + (f" slot {s}" if count > 1 else "")
         raise ValueError(f"{where}: {problem}")
-    return tuple(out)
+    return fwd, bwd
+
+
+def _checked_sizes(base: BaseGraph, sizes: Sequence[int]) -> tuple[int, ...]:
+    if not isinstance(sizes, Sequence):
+        raise ValueError(f"list sizes must be a sequence, got {sizes!r}")
+    if len(sizes) != base.n:
+        raise ValueError(f"got {len(sizes)} list sizes for {base.n} vertices")
+    if not all(is_json_int(s) and s >= 0 for s in sizes):
+        raise ValueError(f"list sizes must be non-negative ints, got {list(sizes)!r}")
+    return tuple(sizes)
 
 
 class Cover:
@@ -120,15 +142,18 @@ class Cover:
     and no color matched twice.  Every constructor raises ValueError
     naming the edge and the pair otherwise.
 
-    A cover never changes, so what is computed from it is kept on it:
-    the conflict tables, built on first use; ``_whole``, which holds
-    ``(find_coloring(c),)`` once the solver has searched the whole cover
-    with no target and no seed; and ``_critical``, ``is_critical(c)``
-    once it has been decided, else None.  Equality and hashing ignore
-    all three.
+    A cover is stored as its conflict tables (see the module docstring).
+    A pair of multiplicity t > 1 also keeps the rows of each of its t
+    matchings, so that slots and equality can tell them apart.
+
+    A cover never changes, so what is decided about it is kept on it:
+    ``_whole``, which holds ``(find_coloring(c),)`` once the solver has
+    searched the whole cover with no target and no seed; and
+    ``_critical``, ``is_critical(c)`` once it has been decided, else
+    None.  Equality and hashing ignore both.
     """
 
-    __slots__ = ("base", "list_size", "_slots", "_conf", "_whole", "_critical")
+    __slots__ = ("base", "list_size", "_conf", "_parallel", "_whole", "_critical")
 
     def __init__(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping = {}):
         self._fill(base, sizes, matchings, bare=isinstance(base, SimpleGraph))
@@ -141,42 +166,59 @@ class Cover:
         return cover
 
     def _fill(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping, bare: bool):
-        if not isinstance(sizes, Sequence):
-            raise ValueError(f"list sizes must be a sequence, got {sizes!r}")
+        sizes = _checked_sizes(base, sizes)
         if not isinstance(matchings, Mapping):
             raise ValueError(f"matchings must be a mapping from vertex pairs, got {matchings!r}")
-        if len(sizes) != base.n:
-            raise ValueError(f"got {len(sizes)} list sizes for {base.n} vertices")
-        if not all(is_json_int(s) and s >= 0 for s in sizes):
-            raise ValueError(f"list sizes must be non-negative ints, got {list(sizes)!r}")
-        self.base = base
-        self.list_size = tuple(sizes)
-        slots: dict[tuple[int, int], tuple[Matching, ...]] = {
-            (u, v): ((),) * t for u, v, t in base.pairs()
-        }
+        mult = {(u, v): t for u, v, t in base.pairs()}
+        given: _Given = {}
         for key, value in matchings.items():
             try:
                 u, v = key
                 e = (u, v) if u < v else (v, u)
             except (TypeError, ValueError):
                 raise ValueError(f"matching key {key!r} is not a vertex pair") from None
-            if e not in slots:
+            if e not in mult:
                 raise ValueError(f"matching key {key!r} is not an edge of the base graph")
             try:
-                given = (value,) if bare else list(value)
+                slots = (value,) if bare else list(value)
             except TypeError:
                 raise ValueError(f"edge {e}: {value!r} is not a list of matchings") from None
-            if len(given) != len(slots[e]):
+            if len(slots) != mult[e]:
                 raise ValueError(
-                    f"edge {e} has multiplicity {len(slots[e])} but {len(given)} matchings given"
+                    f"edge {e} has multiplicity {mult[e]} but {len(slots)} matchings given"
                 )
             flip = e != (u, v)
-            slots[e] = tuple(
-                _normalize_matching(slot, e, s, len(given), sizes, flip)
-                for s, slot in enumerate(given)
-            )
-        self._slots = slots
-        self._conf: ConflictTables | None = None
+            given[e] = [
+                _checked_slot(slot, e, s, len(slots), sizes, flip) for s, slot in enumerate(slots)
+            ]
+        self._keep(base, sizes, mult, given)
+
+    def _keep(self, base: BaseGraph, sizes: tuple[int, ...], mult: dict, given: _Given) -> None:
+        """Store the checked rows of each pair's slots; a pair or slot not given is empty.
+
+        ``mult`` maps each pair of the base to its multiplicity, in
+        ``base.pairs()`` order, the order the rows go into the tables.
+        """
+        self.base = base
+        self.list_size = sizes
+        conf: ConflictTables = [{} for _ in range(base.n)]
+        parallel: dict[tuple[int, int], tuple[_SlotRows, ...]] = {}
+        for (u, v), t in mult.items():
+            size_u, size_v = sizes[u], sizes[v]
+            slots = given.get((u, v))
+            if t == 1:
+                fwd, bwd = slots[0] if slots else ([0] * size_u, [0] * size_v)
+            else:
+                kept = tuple(rows or ([0] * size_u, [0] * size_v) for rows in slots or [None] * t)
+                fwd, bwd = [0] * size_u, [0] * size_v
+                for f, b in kept:
+                    fwd = [x | y for x, y in zip(fwd, f)]
+                    bwd = [x | y for x, y in zip(bwd, b)]
+                parallel[(u, v)] = kept
+            conf[u][v] = fwd
+            conf[v][u] = bwd
+        self._conf = conf
+        self._parallel = parallel
         self._whole: tuple[PartialColoring | None, ...] = ()
         self._critical: bool | None = None
 
@@ -197,38 +239,39 @@ class Cover:
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Adjacent vertex pairs (u, v) with u < v, sorted."""
-        return tuple(sorted(self._slots))
+        # each row of the tables took its neighbors in base.pairs() order, so
+        # the neighbors above u come last and ascending; from a list, as in
+        # SimpleGraph.edges()
+        return tuple([(u, v) for u, row in enumerate(self._conf) for v in row if v > u])
+
+    def _rows(self, u: int, v: int) -> list[int]:
+        """conf[u][v]: the union of the pair's matchings as rows u -> v."""
+        if not (0 <= u < self.n and v in self._conf[u]):
+            raise ValueError(f"({u}, {v}) is not an edge of the base graph")
+        return self._conf[u][v]
 
     def slot_matchings(self, u: int, v: int) -> tuple[Matching, ...]:
-        """Per-parallel-edge matchings for the pair, oriented u -> v."""
-        e = (u, v) if u < v else (v, u)
-        if e not in self._slots:
-            raise ValueError(f"({u}, {v}) is not an edge of the base graph")
-        slots = self._slots[e]
-        if e != (u, v):
-            return tuple(tuple(sorted((j, i) for i, j in s)) for s in slots)
-        return slots
+        """Per-parallel-edge matchings for the pair, oriented u -> v, as sorted pairs."""
+        union = self._rows(u, v)
+        slots = self._parallel.get((u, v) if u < v else (v, u))
+        rows = (union,) if slots is None else [fwd_bwd[u > v] for fwd_bwd in slots]
+        return tuple(tuple((i, row.bit_length() - 1) for i, row in enumerate(r) if row) for r in rows)
 
     def h_edges(self, u: int, v: int) -> frozenset[tuple[int, int]]:
         """Union of the pair's matchings as (color of u, color of v) pairs."""
-        return frozenset(p for slot in self.slot_matchings(u, v) for p in slot)
+        return frozenset((i, j) for i, row in enumerate(self._rows(u, v)) for j in _bits(row))
 
     def conflict_tables(self) -> ConflictTables:
-        """The compiled form the solver searches: conf[u][v][i] as bitmasks.
+        """The form the solver searches: conf[u][v][i] as bitmasks.
 
-        Built on first use and shared; callers must not modify it.
+        Shared with the cover; callers must not modify it.
         """
-        if self._conf is None:
-            conf: ConflictTables = [{} for _ in range(self.n)]
-            for (u, v), slots in self._slots.items():
-                conf[u][v], conf[v][u] = conflict_rows(slots, self.size(u), self.size(v))
-            self._conf = conf
         return self._conf
 
     def matched_mask(self, u: int, v: int, i: int) -> int:
         """Bitmask of the colors of v joined to color i of u (0 if none)."""
         if 0 <= u < self.n:
-            row = self.conflict_tables()[u].get(v)
+            row = self._conf[u].get(v)
             if row is not None and 0 <= i < len(row):
                 return row[i]
         return 0
@@ -243,11 +286,13 @@ class Cover:
         return (
             self.base == other.base
             and self.list_size == other.list_size
-            and self._slots == other._slots
+            and self._conf == other._conf
+            and self._parallel == other._parallel
         )
 
     def __hash__(self) -> int:
-        return hash((self.base, self.list_size, tuple(sorted(self._slots.items()))))
+        rows = tuple(tuple(self._conf[u][v]) for u, v, _ in self.base.pairs())
+        return hash((self.base, self.list_size, rows))
 
     def __repr__(self) -> str:
         return f"Cover(n={self.n}, list_size={self.list_size})"
@@ -318,12 +363,8 @@ class PartialColoring:
 
 def is_full_matching(c: Cover, u: int, v: int) -> bool:
     """The union of the pair's matchings has size(u) pairs and touches every color of u and v."""
-    pairs = c.h_edges(u, v)
-    return (
-        len(pairs) == c.size(u)
-        and {i for i, _ in pairs} == set(range(c.size(u)))
-        and {j for _, j in pairs} == set(range(c.size(v)))
-    )
+    fwd, bwd = c._rows(u, v), c._rows(v, u)
+    return sum(row.bit_count() for row in fwd) == c.size(u) and all(fwd) and all(bwd)
 
 
 def cover_from_lists(g: BaseGraph, lists: Sequence[Sequence[object]]) -> Cover:
@@ -493,12 +534,16 @@ def cover_to_json(c: Cover) -> dict:
         }
     matchings: dict[str, list[list[int]]] = {}
     for u, v in c.edge_pairs():
-        slots = c.slot_matchings(u, v)
-        for s, slot in enumerate(slots):
-            if not slot:
-                continue
-            key = f"{u}-{v}" if len(slots) == 1 else f"{u}-{v}#{s}"
-            matchings[key] = [list(p) for p in slot]
+        slots = c._parallel.get((u, v))
+        if slots is None:
+            named = ((f"{u}-{v}", c._conf[u][v]),)
+        else:
+            named = [(f"{u}-{v}#{s}", fwd) for s, (fwd, _) in enumerate(slots)]
+        for key, fwd in named:
+            # a slot's row holds at most one color, so pairs come out sorted
+            pairs = [[i, row.bit_length() - 1] for i, row in enumerate(fwd) if row]
+            if pairs:
+                matchings[key] = pairs
     out["matchings"] = matchings
     return out
 
@@ -522,11 +567,11 @@ def cover_from_json(data: Mapping) -> Cover:
         k = data["k"]
         if not is_json_int(k) or k < 0:
             raise ValueError(f"invalid k: {k!r}")
-        sizes = [k] * base.n
+        sizes = (k,) * base.n
     elif "list_sizes" in data:
-        sizes = data["list_sizes"]
-        if not isinstance(sizes, list):
-            raise ValueError(f"list_sizes must be a list, got {sizes!r}")
+        if not isinstance(data["list_sizes"], list):
+            raise ValueError(f"list_sizes must be a list, got {data['list_sizes']!r}")
+        sizes = _checked_sizes(base, data["list_sizes"])
     else:
         raise ValueError("cover JSON needs a 'k' or 'list_sizes' entry")
     given = data.get("matchings", {})
@@ -534,8 +579,7 @@ def cover_from_json(data: Mapping) -> Cover:
         raise ValueError(f"matchings must be an object, got {given!r}")
 
     mult = {(u, v): t for u, v, t in base.pairs()}
-    slots: dict[tuple[int, int], list[Matching]] = {}
-    seen: set[tuple[int, int, int]] = set()
+    rows: _Given = {}
     for key, pairs in given.items():
         if not isinstance(key, str):
             raise ValueError(f"malformed matching key {key!r}")
@@ -548,17 +592,19 @@ def cover_from_json(data: Mapping) -> Cover:
             raise ValueError(f"malformed matching key {key!r}") from None
         if u >= v:
             raise ValueError(f"matching key {key!r} must have u < v")
-        if (u, v) not in mult:
+        t = mult.get((u, v))
+        if t is None:
             raise ValueError(f"matching key {key!r} is not an edge of the base graph")
-        if not 0 <= slot < mult[(u, v)]:
+        if not 0 <= slot < t:
             raise ValueError(f"matching key {key!r}: slot out of range")
-        if (u, v, slot) in seen:
+        slots = rows.setdefault((u, v), [None] * t)
+        if slots[slot] is not None:
             raise ValueError(f"matching key {key!r}: slot given twice")
-        seen.add((u, v, slot))
-        # Cover rejects any matching that is not a partial injection between the lists
-        slots.setdefault((u, v), [()] * mult[(u, v)])[slot] = pairs
+        slots[slot] = _checked_slot(pairs, (u, v), slot, t, sizes, False)
 
-    return Cover.from_slots(base, sizes, slots)
+    cover = Cover.__new__(Cover)
+    cover._keep(base, sizes, mult, rows)
+    return cover
 
 
 def cover_to_json_text(c: Cover) -> str:

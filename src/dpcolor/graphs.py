@@ -84,8 +84,10 @@ class SimpleGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) pairs with u < v, sorted."""
         if self._edges is None:
+            # from a list: tuple() of a generator shrinks a guessed tuple, which
+            # CPython, once freed, keeps on a free list until a full collection
             self._edges = tuple(
-                (u, v) for u, x in enumerate(self._nbr) for v in _bits(x >> u + 1 << u + 1)
+                [(u, v) for u, x in enumerate(self._nbr) for v in _bits(x >> u + 1 << u + 1)]
             )
         return self._edges
 
@@ -152,7 +154,7 @@ class SimpleGraph:
 
     def pairs(self) -> tuple[tuple[int, int, int], ...]:
         """Edges as (u, v, 1), u < v, sorted: the MultiGraph view."""
-        return tuple((u, v, 1) for u, v in self.edges())
+        return tuple([(u, v, 1) for u, v in self.edges()])  # from a list, as in edges()
 
     def multiplicity(self, u: int, v: int) -> int:
         return 1 if self.has_edge(u, v) else 0

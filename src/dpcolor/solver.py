@@ -89,17 +89,18 @@ def _search(
 
     avail[u] is the bitmask of u's surviving colors; the search consumes
     it.  Vertices outside todo are ignored.  Nodes expanded are added
-    to stats.
+    to stats.  The search keeps its own stack, one frame per picked
+    vertex, so its depth is not bounded by Python's recursion limit.
     """
     order = sorted(todo)
     free = [False] * len(avail)
     for u in order:
         free[u] = True
-    assignment: dict[int, int] = {}
     nodes = 0
-
-    def search() -> bool:
-        nonlocal nodes
+    # one frame per picked vertex, deepest last: the vertex, its pick, the
+    # colors it has left to try, and what the pick removed from its neighbors
+    frames: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    while True:
         u = -1
         fewest = 0
         for x in order:
@@ -108,41 +109,39 @@ def _search(
                 if u < 0 or count < fewest:
                     u, fewest = x, count
         if u < 0:
-            return True
-        if not fewest:
-            return False
+            stats.nodes_expanded += nodes
+            return {w: i for w, i, _, _ in frames}
         free[u] = False
-        nbrs = conf[u]
         live = avail[u]
-        while live:
-            low = live & -live
-            live ^= low
-            i = low.bit_length() - 1
-            nodes += 1
-            removed: list[tuple[int, int]] = []
-            dead = False
-            for v, row in nbrs.items():
-                if free[v]:
-                    hit = avail[v] & row[i]
-                    if hit:
-                        avail[v] ^= hit
-                        removed.append((v, hit))
-                        if not avail[v]:
-                            dead = True
-                            break
-            if not dead:
-                assignment[u] = i
-                if search():
-                    return True
-                del assignment[u]
+        while True:
+            if live:
+                low = live & -live
+                live ^= low
+                i = low.bit_length() - 1
+                nodes += 1
+                removed: list[tuple[int, int]] = []
+                dead = False
+                for v, row in conf[u].items():
+                    if free[v]:
+                        hit = avail[v] & row[i]
+                        if hit:
+                            avail[v] ^= hit
+                            removed.append((v, hit))
+                            if not avail[v]:
+                                dead = True
+                                break
+                if not dead:
+                    frames.append((u, i, live, removed))
+                    break
+            else:
+                # u has no color left: take back the pick before it
+                free[u] = True
+                if not frames:
+                    stats.nodes_expanded += nodes
+                    return None
+                u, _, live, removed = frames.pop()
             for v, hit in removed:
                 avail[v] |= hit
-        free[u] = True
-        return False
-
-    found = search()
-    stats.nodes_expanded += nodes
-    return assignment if found else None
 
 
 def find_coloring(

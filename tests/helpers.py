@@ -27,7 +27,8 @@ from dpcolor import (
     cover_choices,
     residual_list,
 )
-from dpcolor.covers import ConflictTables, EdgeChoices, conflict_rows
+from dpcolor.covers import ConflictTables, EdgeChoices, Matching, conflict_rows
+from dpcolor.graphs import BaseGraph, emit_graph6
 from dpcolor.solver import _search
 
 
@@ -138,6 +139,81 @@ def brute_force_k_colorable(g: SimpleGraph, k: int) -> bool:
         if all(combo[u] != combo[v] for u, v in g.edges()):
             return True
     return g.n == 0
+
+
+# ---------------------------------------------------------------------------
+# the pair-tuple cover: the reference for the rows a Cover stores
+
+
+class ReferenceCover:
+    """A cover kept as each pair's matchings, sorted into (i, j) pair tuples.
+
+    This is how ``Cover`` held its matchings before it stored conflict
+    rows: every matching normalized to sorted pairs oriented u < v, the
+    tables built from them by ``conflict_rows``, the JSON form written
+    from them.  The arguments must be valid; nothing is checked here.
+    """
+
+    def __init__(self, base: BaseGraph, sizes, matchings, bare: bool):
+        self.base = base
+        self.sizes = tuple(sizes)
+        self.slots = {(u, v): ((),) * t for u, v, t in base.pairs()}
+        for (a, b), value in matchings.items():
+            e = (a, b) if a < b else (b, a)
+            flip = e != (a, b)
+            self.slots[e] = tuple(
+                tuple(sorted((j, i) if flip else (i, j) for i, j in m))
+                for m in ((value,) if bare else value)
+            )
+
+    def slot_matchings(self, u: int, v: int) -> tuple[Matching, ...]:
+        if u < v:
+            return self.slots[(u, v)]
+        return tuple(tuple(sorted((j, i) for i, j in m)) for m in self.slots[(v, u)])
+
+    def h_edges(self, u: int, v: int) -> frozenset[tuple[int, int]]:
+        return frozenset(p for m in self.slot_matchings(u, v) for p in m)
+
+    def conflict_tables(self) -> ConflictTables:
+        conf: ConflictTables = [{} for _ in range(self.base.n)]
+        for (u, v), slots in self.slots.items():
+            conf[u][v], conf[v][u] = conflict_rows(slots, self.sizes[u], self.sizes[v])
+        return conf
+
+    def is_full_matching(self, u: int, v: int) -> bool:
+        pairs = self.h_edges(u, v)
+        return (
+            len(pairs) == self.sizes[u]
+            and {i for i, _ in pairs} == set(range(self.sizes[u]))
+            and {j for _, j in pairs} == set(range(self.sizes[v]))
+        )
+
+    def to_json(self) -> dict:
+        out: dict = {}
+        uniform = self.base.n > 0 and len(set(self.sizes)) == 1
+        if uniform:
+            out["k"] = self.sizes[0]
+        else:
+            out["list_sizes"] = list(self.sizes)
+        if isinstance(self.base, SimpleGraph):
+            out["graph6"] = emit_graph6(self.base)
+        else:
+            out["multigraph"] = {
+                "n": self.base.n,
+                "edges": [[u, v, t] for u, v, t in self.base.pairs()],
+            }
+        matchings: dict[str, list[list[int]]] = {}
+        for (u, v), slots in sorted(self.slots.items()):
+            for s, slot in enumerate(slots):
+                if slot:
+                    key = f"{u}-{v}" if len(slots) == 1 else f"{u}-{v}#{s}"
+                    matchings[key] = [list(p) for p in slot]
+        out["matchings"] = matchings
+        return out
+
+    def key(self) -> tuple:
+        """What two covers share exactly when they compare equal."""
+        return (self.base, self.sizes, self.slots)
 
 
 # ---------------------------------------------------------------------------

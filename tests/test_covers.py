@@ -48,6 +48,8 @@ from helpers import (
 
 C4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+K2 = SimpleGraph(2, [(0, 1)])
+M2 = MultiGraph(2, [(0, 1, 2)])
 
 
 def identity_cover(g, k):
@@ -172,6 +174,134 @@ class TestValidateCover:
             Cover.from_slots(C4, [2] * 4, {(1, 2): [[(0, 5)]]})
         with pytest.raises(ValueError, match=r"edge \(1, 2\): pair \(-1, 0\) has no color -1"):
             Cover(C4, [2] * 4, {(1, 2): [(-1, 0)]})
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: Cover(K2, [2, 2], {(0, 1): [(0, "a")]}),
+                "edge (0, 1): matching [(0, 'a')] is not a list of int pairs",
+            ),
+            (
+                lambda: Cover(K2, [2, 2], {(0, 1): [(True, 0)]}),
+                "edge (0, 1): matching [(True, 0)] is not a list of int pairs",
+            ),
+            (
+                lambda: Cover(K2, [2, 3], {(0, 1): [(2, 0)]}),
+                "edge (0, 1): pair (2, 0) has no color 2 at vertex 0",
+            ),
+            (
+                lambda: Cover(K2, [3, 2], {(0, 1): [(0, 2)]}),
+                "edge (0, 1): pair (0, 2) has no color 2 at vertex 1",
+            ),
+            (
+                lambda: Cover(K2, [2, 2], {(0, 1): [(0, 0), (0, 1)]}),
+                "edge (0, 1): pair (0, 1) matches color 0 of vertex 0 twice",
+            ),
+            (
+                lambda: Cover(K2, [2, 2], {(0, 1): [(0, 0), (1, 0)]}),
+                "edge (0, 1): pair (1, 0) matches color 0 of vertex 1 twice",
+            ),
+            (  # the key (1, 0) reads its pairs as (j, i)
+                lambda: Cover(K2, [2, 2], {(1, 0): [(0, 0), (0, 1)]}),
+                "edge (0, 1): pair (1, 0) matches color 0 of vertex 1 twice",
+            ),
+            (
+                lambda: Cover(M2, [2, 2], {(0, 1): [[(0, 0)], [(0, 1), (1, 1)]]}),
+                "edge (0, 1) slot 1: pair (1, 1) matches color 1 of vertex 1 twice",
+            ),
+            (
+                lambda: Cover.from_slots(K2, [2, 2], {(0, 1): [[(0, 5)]]}),
+                "edge (0, 1): pair (0, 5) has no color 5 at vertex 1",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"0-1":[[0,0.0]]}}'),
+                "edge (0, 1): matching [[0, 0.0]] is not a list of int pairs",
+            ),
+            (
+                lambda: cover_from_json_text(
+                    '{"graph6":"A_","k":2,"matchings":{"0-1":[[false,0]]}}'
+                ),
+                "edge (0, 1): matching [[False, 0]] is not a list of int pairs",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"0-1":[[2,0]]}}'),
+                "edge (0, 1): pair (2, 0) has no color 2 at vertex 0",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"0-1":[[0,2]]}}'),
+                "edge (0, 1): pair (0, 2) has no color 2 at vertex 1",
+            ),
+            (
+                lambda: cover_from_json_text(
+                    '{"graph6":"A_","k":2,"matchings":{"0-1":[[1,0],[1,1]]}}'
+                ),
+                "edge (0, 1): pair (1, 1) matches color 1 of vertex 0 twice",
+            ),
+            (
+                lambda: cover_from_json_text(
+                    '{"graph6":"A_","k":2,"matchings":{"0-1":[[0,1],[1,1]]}}'
+                ),
+                "edge (0, 1): pair (1, 1) matches color 1 of vertex 1 twice",
+            ),
+            (
+                lambda: cover_from_json_text(
+                    '{"multigraph":{"n":2,"edges":[[0,1,2]]},"k":2,'
+                    '"matchings":{"0-1#1":[[0,0],[0,1]]}}'
+                ),
+                "edge (0, 1) slot 1: pair (0, 1) matches color 0 of vertex 0 twice",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"1-0":[[0,0]]}}'),
+                "matching key '1-0' must have u < v",
+            ),
+            (
+                lambda: cover_from_json_text(
+                    '{"multigraph":{"n":2,"edges":[[0,1,2]]},"k":2,"matchings":{"0-1#2":[]}}'
+                ),
+                "matching key '0-1#2': slot out of range",
+            ),
+            (  # two spellings of one slot, both empty
+                lambda: cover_from_json_text(
+                    '{"graph6":"A_","k":2,"matchings":{"0-1":[],"0-01":[]}}'
+                ),
+                "matching key '0-01': slot given twice",
+            ),
+            (
+                lambda: cover_from_json_text(
+                    '{"multigraph":{"n":2,"edges":[[0,1,2]]},"k":2,'
+                    '"matchings":{"0-1#1":[[0,0]],"0-1#01":[]}}'
+                ),
+                "matching key '0-1#01': slot given twice",
+            ),
+        ],
+        ids=[
+            "non-int",
+            "bool",
+            "u-range",
+            "v-range",
+            "u-twice",
+            "v-twice",
+            "flipped-key",
+            "slot-twice",
+            "from-slots-range",
+            "json-float",
+            "json-bool",
+            "json-u-range",
+            "json-v-range",
+            "json-u-twice",
+            "json-v-twice",
+            "json-slot-twice",
+            "json-flipped-key",
+            "json-slot-range",
+            "json-slot-given-twice",
+            "json-parallel-slot-given-twice",
+        ],
+    )
+    def test_single_fault_messages_are_exact(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_cover_from_lists_always_validates(self):
         rng = Random(20108)

@@ -13,7 +13,9 @@ from dpcolor import (
     Graph6Error,
     MultiGraph,
     SimpleGraph,
+    cover_from_json,
     cover_from_json_text,
+    cover_from_lists,
     cover_to_json_text,
     emit_graph6,
     find_coloring,
@@ -23,7 +25,9 @@ from dpcolor import (
     relabel_colors,
 )
 
-from helpers import brute_force_colorings
+from dpcolor.covers import is_full_matching
+
+from helpers import ReferenceCover, brute_force_colorings
 
 # small enough that brute force stays under a millisecond per cover
 MAX_N = 5
@@ -102,6 +106,97 @@ def test_cover_is_well_formed_or_not_built(args):
         for a, b in ((u, v), (v, u)):
             read_back = {(i, j) for i in range(c.size(a)) for j in c.matched_colors(a, b, i)}
             assert c.h_edges(a, b) == read_back
+
+
+@st.composite
+def cover_specs(draw):
+    """Valid Cover.from_slots arguments: uneven sizes, absent pairs, flipped keys, parallel slots.
+
+    Returns the base, the sizes, each given pair's list of matchings (pairs
+    in any order, read as (j, i) under a key (v, u)) and whether the base is
+    a multigraph.
+    """
+    n = draw(st.integers(0, MAX_N))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(0, MAX_SIZE))] * n
+    else:
+        sizes = draw(st.lists(st.integers(0, MAX_SIZE), min_size=n, max_size=n))
+    multi = draw(st.booleans())
+    mult = {e: draw(st.integers(1, 3)) if multi else 1 for e in edges}
+    if multi:
+        base = MultiGraph(n, [(u, v, t) for (u, v), t in mult.items()])
+    else:
+        base = SimpleGraph(n, edges)
+    slots = {}
+    for (u, v), t in mult.items():
+        if draw(st.integers(0, 4)) == 0:
+            continue  # an absent pair has empty matchings
+        given_ = [list(draw(st.permutations(draw(matchings(sizes[u], sizes[v]))))) for _ in range(t)]
+        if draw(st.booleans()):
+            slots[(v, u)] = [[(j, i) for i, j in m] for m in given_]
+        else:
+            slots[(u, v)] = given_
+    return base, sizes, slots, multi
+
+
+def _agrees_with(c, ref: ReferenceCover) -> None:
+    assert c.conflict_tables() == ref.conflict_tables()
+    assert cover_to_json_text(c) == json.dumps(ref.to_json(), separators=(",", ":"))
+    for u, v in ref.slots:
+        for a, b in ((u, v), (v, u)):
+            assert c.slot_matchings(a, b) == ref.slot_matchings(a, b)
+            assert c.h_edges(a, b) == ref.h_edges(a, b)
+            assert is_full_matching(c, a, b) == ref.is_full_matching(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_specs(), st.data())
+def test_stored_rows_agree_with_the_pair_tuple_reference(spec, data):
+    base, sizes, slots, multi = spec
+    ref = ReferenceCover(base, sizes, slots, bare=False)
+    c = Cover(base, sizes, slots if multi else {e: m[0] for e, m in slots.items()})
+    built = [
+        c,
+        Cover.from_slots(base, sizes, slots),
+        cover_from_json(ref.to_json()),
+        cover_from_json_text(cover_to_json_text(c)),
+        relabel_colors(c, [list(range(s)) for s in sizes]),
+    ]
+    for b in built:
+        assert b == c and hash(b) == hash(c)
+        _agrees_with(b, ref)
+
+    # which covers compare equal follows the reference
+    perms = [data.draw(st.permutations(range(s))) for s in sizes]
+    moved = {
+        (u, v): [[(perms[u][i], perms[v][j]) for i, j in m] for m in ms]
+        for (u, v), ms in ref.slots.items()
+    }
+    ref_moved = ReferenceCover(base, sizes, moved, bare=False)
+    relabeled = relabel_colors(c, perms)
+    _agrees_with(relabeled, ref_moved)
+    assert (relabeled == c) == (ref_moved.key() == ref.key())
+    swapped = {e: ms[::-1] for e, ms in ref.slots.items()}  # parallel slots in reverse
+    ref_swapped = ReferenceCover(base, sizes, swapped, bare=False)
+    assert (Cover.from_slots(base, sizes, swapped) == c) == (ref_swapped.key() == ref.key())
+
+
+@FEW
+@given(cover_specs(), st.data())
+def test_cover_from_lists_agrees_with_the_pair_tuple_reference(spec, data):
+    base = spec[0]
+    lists = [data.draw(st.lists(st.integers(0, 4), unique=True, max_size=3)) for _ in range(base.n)]
+    index = [{color: i for i, color in enumerate(sorted(lst))} for lst in lists]
+    shared = {
+        (u, v): [[(index[u][x], index[v][x]) for x in set(lists[u]) & set(lists[v])]] * t
+        for u, v, t in base.pairs()
+    }
+    ref = ReferenceCover(base, [len(lst) for lst in lists], shared, bare=False)
+    c = cover_from_lists(base, lists)
+    assert c == Cover.from_slots(base, ref.sizes, shared)
+    _agrees_with(c, ref)
 
 
 @FEW
