@@ -3,7 +3,10 @@
 Exit codes: 0 for a completed query or an upheld claim, 2 when a sweep
 or structure check surfaces a genuine refutation, 1 for usage, input,
 or precondition errors, input nested past Python's recursion limit
-among them.
+and input too large to hold in memory among them.  A reader that closes
+standard output early (``dpcolor enumerate-covers ... | head``) also
+ends the command with status 1, quietly: no ``error:`` line, since the
+output was cut short by the reader, not by a fault.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict
 from itertools import islice
@@ -249,7 +253,19 @@ def main(argv=None) -> int:
     if args.verbose:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # flush here, so that a closed pipe shows inside the try
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,10 @@ A cover is stored as the conflict tables the solver searches, built in
 the one pass that checks each matching: ``conf[u][v][i]`` is the bitmask
 of the colors of v matched to color i of u, the union over parallel
 edges.  Bit j stands for color j.
+
+A cover's canonical JSON text has one writer, ``cover_to_json_text``,
+which reads it straight off these rows; ``cover_to_json`` is that text
+read back, so key names, slot order and pair order live in one place.
 """
 
 from __future__ import annotations
@@ -209,7 +213,7 @@ class Cover:
             if t == 1:
                 fwd, bwd = slots[0] if slots else ([0] * size_u, [0] * size_v)
             else:
-                kept = tuple(rows or ([0] * size_u, [0] * size_v) for rows in slots or [None] * t)
+                kept = tuple([rows or ([0] * size_u, [0] * size_v) for rows in slots or [None] * t])
                 fwd, bwd = [0] * size_u, [0] * size_v
                 for f, b in kept:
                     fwd = [x | y for x, y in zip(fwd, f)]
@@ -255,7 +259,10 @@ class Cover:
         union = self._rows(u, v)
         slots = self._parallel.get((u, v) if u < v else (v, u))
         rows = (union,) if slots is None else [fwd_bwd[u > v] for fwd_bwd in slots]
-        return tuple(tuple((i, row.bit_length() - 1) for i, row in enumerate(r) if row) for r in rows)
+        # tuples from lists, as in SimpleGraph.degrees()
+        return tuple(
+            [tuple([(i, row.bit_length() - 1) for i, row in enumerate(r) if row]) for r in rows]
+        )
 
     def h_edges(self, u: int, v: int) -> frozenset[tuple[int, int]]:
         """Union of the pair's matchings as (color of u, color of v) pairs."""
@@ -291,7 +298,7 @@ class Cover:
         )
 
     def __hash__(self) -> int:
-        rows = tuple(tuple(self._conf[u][v]) for u, v, _ in self.base.pairs())
+        rows = tuple([tuple(self._conf[u][v]) for u, v, _ in self.base.pairs()])
         return hash((self.base, self.list_size, rows))
 
     def __repr__(self) -> str:
@@ -519,33 +526,12 @@ def relabel_colors(c: Cover, perms: Sequence[Sequence[int]]) -> Cover:
 
 
 def cover_to_json(c: Cover) -> dict:
-    """Plain-dict form of a cover; inverse of cover_from_json."""
-    out: dict = {}
-    if c.k is not None:
-        out["k"] = c.k
-    else:
-        out["list_sizes"] = list(c.list_size)
-    if isinstance(c.base, SimpleGraph):
-        out["graph6"] = emit_graph6(c.base)
-    else:
-        out["multigraph"] = {
-            "n": c.base.n,
-            "edges": [[u, v, t] for u, v, t in c.base.pairs()],
-        }
-    matchings: dict[str, list[list[int]]] = {}
-    for u, v in c.edge_pairs():
-        slots = c._parallel.get((u, v))
-        if slots is None:
-            named = ((f"{u}-{v}", c._conf[u][v]),)
-        else:
-            named = [(f"{u}-{v}#{s}", fwd) for s, (fwd, _) in enumerate(slots)]
-        for key, fwd in named:
-            # a slot's row holds at most one color, so pairs come out sorted
-            pairs = [[i, row.bit_length() - 1] for i, row in enumerate(fwd) if row]
-            if pairs:
-                matchings[key] = pairs
-    out["matchings"] = matchings
-    return out
+    """Plain-dict form of a cover; inverse of cover_from_json.
+
+    It is ``cover_to_json_text(c)`` read back with ``json.loads``, so the
+    text stays the one place the format is written.
+    """
+    return json.loads(cover_to_json_text(c))
 
 
 def cover_from_json(data: Mapping) -> Cover:
@@ -607,8 +593,61 @@ def cover_from_json(data: Mapping) -> Cover:
     return cover
 
 
+# _PAIR_TEXT[i][1 << j] is the text "[i,j]" of a matched pair, for colors
+# below _TABLE_COLORS; larger colors are formatted as they come
+_TABLE_COLORS = 16
+_PAIR_TEXT = [{1 << j: f"[{i},{j}]" for j in range(_TABLE_COLORS)} for i in range(_TABLE_COLORS)]
+
+
+def _pairs_text(fwd: list[int], size_v: int) -> str:
+    """The pairs of a matching given as its rows u -> v, as JSON text; sorted since i ascends."""
+    if len(fwd) <= _TABLE_COLORS and size_v <= _TABLE_COLORS:
+        return ",".join([_PAIR_TEXT[i][row] for i, row in enumerate(fwd) if row])
+    return ",".join([f"[{i},{row.bit_length() - 1}]" for i, row in enumerate(fwd) if row])
+
+
 def cover_to_json_text(c: Cover) -> str:
-    return json.dumps(cover_to_json(c), separators=(",", ":"))
+    """The canonical JSON text of a cover, written straight from its stored rows.
+
+    Keys in order: ``k`` when the list sizes are equal, else
+    ``list_sizes``; ``graph6`` on a simple base, else ``multigraph``;
+    then ``matchings``, which maps ``"u-v"`` (u < v, ascending) to the
+    matching's sorted ``[i, j]`` pairs, or, on a pair of multiplicity
+    t > 1, each ``"u-v#s"`` to slot s.  Empty matchings are left out.
+    No spaces, so the text is what ``json.dumps`` with
+    ``separators=(",", ":")`` writes for ``cover_to_json(c)``.  No dict
+    and no ``[i, j]`` list is built on the way: each pair's text comes
+    from a table, and only the graph6 string needs escaping.
+    """
+    k = c.k
+    sizes = c.list_size
+    if k is not None:
+        parts = ['{"k":', str(k)]
+    else:
+        parts = ['{"list_sizes":[', ",".join(map(str, sizes)), "]"]
+    base = c.base
+    if isinstance(base, SimpleGraph):
+        # graph6 bytes run from ? to ~: the backslash is the one to escape
+        parts += [',"graph6":"', emit_graph6(base).replace("\\", "\\\\"), '"']
+    else:
+        edges = ",".join([f"[{u},{v},{t}]" for u, v, t in base.pairs()])
+        parts += [',"multigraph":{"n":', str(base.n), ',"edges":[', edges, "]}"]
+    named = []
+    parallel = c._parallel
+    for u, row in enumerate(c._conf):
+        for v, fwd in row.items():
+            if v < u:
+                continue
+            slots = parallel.get((u, v))
+            if slots is None:
+                if any(fwd):
+                    named.append(f'"{u}-{v}":[{_pairs_text(fwd, sizes[v])}]')
+            else:
+                for s, (slot_fwd, _) in enumerate(slots):
+                    if any(slot_fwd):
+                        named.append(f'"{u}-{v}#{s}":[{_pairs_text(slot_fwd, sizes[v])}]')
+    parts += [',"matchings":{', ",".join(named), "}}"]
+    return "".join(parts)
 
 
 def cover_from_json_text(text: str) -> Cover:

@@ -105,15 +105,18 @@ class SimpleGraph:
         return self._nbr[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(int.bit_count, self._nbr))
+        # from a list: tuple() fed an iterator allocates a guessed size and
+        # shrinks it, so each call adds a tuple to the free list of the final
+        # size, which only a full collection empties
+        return tuple(list(map(int.bit_count, self._nbr)))
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
+        return max(map(int.bit_count, self._nbr), default=0)
 
     @property
     def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
+        return min(map(int.bit_count, self._nbr), default=0)
 
     def induced(self, vertices: Iterable[int]) -> "SimpleGraph":
         """Induced subgraph; result vertex i corresponds to sorted(vertices)[i]."""
@@ -204,7 +207,7 @@ class MultiGraph:
 
     def pairs(self) -> tuple[tuple[int, int, int], ...]:
         """Distinct adjacent pairs as (u, v, multiplicity), u < v, sorted."""
-        return tuple((u, v, t) for (u, v), t in self._mult.items())
+        return tuple([(u, v, t) for (u, v), t in self._mult.items()])
 
     def multiplicity(self, u: int, v: int) -> int:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -466,7 +469,7 @@ def degree_profile(g: BaseGraph, k: int) -> DegreeProfile:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     degs = g.degrees()
-    eps = tuple(d - k for d in degs)
+    eps = tuple([d - k for d in degs])
     return DegreeProfile(
         k=k,
         D=frozenset(u for u, d in enumerate(degs) if d == k),

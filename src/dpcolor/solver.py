@@ -58,8 +58,6 @@ from .covers import (
     PartialColoring,
     _bits,
     cover_choices,
-    cover_from_json_text,
-    cover_to_json_text,
     is_full_matching,
     is_independent,
     residual_list,
@@ -428,7 +426,7 @@ class _BoxSearch:
         for box, phi in self:
             if phi is not None:
                 continue
-            for cover in product(*(tuple(1 << d for d in _bits(dom)) for dom in box)):
+            for cover in product(*[[1 << d for d in _bits(dom)] for dom in box]):
                 if best is not None and self.rank(cover) >= self.bound:
                     break
                 if self.deletion_test(cover):
@@ -562,7 +560,7 @@ class GDPCertificate:
 
 def _saturated_pairs(g: SimpleGraph, cuts: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """The edges joining two non-cut vertices, sorted."""
-    return tuple((u, v) for u, v in g.edges() if u not in cuts and v not in cuts)
+    return tuple([(u, v) for u, v in g.edges() if u not in cuts and v not in cuts])
 
 
 def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
@@ -620,8 +618,15 @@ def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
 
 
 def certificate_is_valid(g: SimpleGraph, c: Cover, cert: GDPCertificate) -> bool:
-    """Recheck a certificate from scratch (fresh cover, fresh decomposition)."""
-    fresh = cover_from_json_text(cover_to_json_text(c))
+    """Recheck a certificate from scratch (fresh cover, fresh decomposition).
+
+    ``fresh`` is a new cover built by the validating constructor from the
+    matchings ``c`` reports, so every matching is checked again and no
+    answer kept on ``c`` (``_whole``, ``_critical``) is carried over: the
+    recheck searches and tests ``fresh`` alone.
+    """
+    slots = {(u, v): c.slot_matchings(u, v) for u, v in c.edge_pairs()}
+    fresh = Cover.from_slots(c.base, c.list_size, slots)
     if cert.colorable:
         p = cert.coloring
         if p is None or p.dom != frozenset(g.vertices):

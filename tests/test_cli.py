@@ -30,13 +30,17 @@ K4_G6 = emit_graph6(SimpleGraph(4, [(u, v) for u in range(4) for v in range(u + 
 W4_G6 = emit_graph6(make_wheel(4))
 
 
-def run_cli(*args, module="dpcolor.cli"):
-    """Run the CLI in a fresh interpreter, so its logging set-up is its own."""
+def cli_env() -> dict:
+    """The environment of a fresh interpreter that imports this dpcolor."""
     src = str(Path(dpcolor.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli(*args, module="dpcolor.cli"):
+    """Run the CLI in a fresh interpreter, so its logging set-up is its own."""
     argv = [sys.executable, "-m", module, *args]
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run(argv, capture_output=True, text=True, env=cli_env(), timeout=120)
 
 
 def write_cover(tmp_path, cover, name="cover.json"):
@@ -99,6 +103,16 @@ class TestSolve:
         path.write_text(doc)
         assert main(["solve", "--cover", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
+        # as a list size too large to allocate would end
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr("dpcolor.cli.cover_from_json_text", exhausted)
+        straight, _ = make_c4_covers()
+        assert main(["solve", "--cover", write_cover(tmp_path, straight)]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self, tmp_path, capsys):
         # one search level per vertex, past Python's default limit of 1,000 frames
@@ -251,6 +265,19 @@ class TestEnumerateCovers:
         args = ["enumerate-covers", "--graph", edge, "--k", "1", "--regime", "partial"]
         assert main(args) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # all 1,296 covers of Dl{ (about 300 kB) overrun any pipe buffer, so the
+        # writer must meet the closed pipe
+        argv = [sys.executable, "-m", "dpcolor", "enumerate-covers", "--graph", "Dl{", "--k", "3"]
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc = subprocess.Popen(argv, env=cli_env(), **pipes)
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert all(cover_from_json_text(line) for line in lines)
+        assert proc.returncode == 1
+        assert err == ""
 
     def test_disconnected_rejected(self, capsys):
         g6 = emit_graph6(SimpleGraph(2, []))

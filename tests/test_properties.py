@@ -2,10 +2,11 @@
 
 import itertools
 import json
+import random
 import string
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcolor import (
@@ -151,9 +152,50 @@ def _agrees_with(c, ref: ReferenceCover) -> None:
             assert is_full_matching(c, a, b) == ref.is_full_matching(a, b)
 
 
+# specs cover_specs does not reach, in its form: colors past the writer's
+# table of pair texts (16), two-digit vertex keys, a graph6 string holding
+# the one byte JSON escapes, and a multigraph with empty slots and an
+# absent pair
+_PAST_THE_PAIR_TABLE = (
+    SimpleGraph(3, [(0, 1), (1, 2)]),
+    [17, 3, 20],
+    {(0, 1): [[(16, 2), (0, 0)]], (2, 1): [[(19, 1), (3, 0)]]},
+    False,
+)
+_UNIFORM_PAST_THE_PAIR_TABLE = (
+    SimpleGraph(2, [(0, 1)]),
+    [18, 18],
+    {(0, 1): [[(17, 0), (3, 17), (16, 16)]]},
+    False,
+)
+_TWO_DIGIT_KEYS = (
+    SimpleGraph(12, [(0, 11), (9, 10), (10, 11)]),
+    [2] * 12,
+    {(0, 11): [[(0, 1)]], (10, 9): [[(1, 0), (0, 1)]], (10, 11): [[(1, 1)]]},
+    False,
+)
+_BACKSLASH_GRAPH6 = (
+    parse_graph6("C\\"),
+    [2, 1, 3, 2],
+    {(0, 2): [[(1, 2)]], (1, 2): [[(0, 0)]], (3, 2): [[(0, 1), (1, 0)]]},
+    False,
+)
+_EMPTY_SLOTS = (
+    MultiGraph(4, [(0, 1, 3), (1, 2, 2), (2, 3, 1)]),
+    [2, 2, 3, 1],
+    {(0, 1): [[(0, 1)], [], [(1, 0), (0, 1)]], (2, 1): [[], [(2, 1)]]},
+    True,
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(cover_specs(), st.data())
-def test_stored_rows_agree_with_the_pair_tuple_reference(spec, data):
+@given(cover_specs(), st.randoms(use_true_random=False))
+@example(_PAST_THE_PAIR_TABLE, random.Random(0))
+@example(_UNIFORM_PAST_THE_PAIR_TABLE, random.Random(0))
+@example(_TWO_DIGIT_KEYS, random.Random(0))
+@example(_BACKSLASH_GRAPH6, random.Random(0))
+@example(_EMPTY_SLOTS, random.Random(0))
+def test_stored_rows_agree_with_the_pair_tuple_reference(spec, rnd):
     base, sizes, slots, multi = spec
     ref = ReferenceCover(base, sizes, slots, bare=False)
     c = Cover(base, sizes, slots if multi else {e: m[0] for e, m in slots.items()})
@@ -169,7 +211,7 @@ def test_stored_rows_agree_with_the_pair_tuple_reference(spec, data):
         _agrees_with(b, ref)
 
     # which covers compare equal follows the reference
-    perms = [data.draw(st.permutations(range(s))) for s in sizes]
+    perms = [rnd.sample(range(s), s) for s in sizes]
     moved = {
         (u, v): [[(perms[u][i], perms[v][j]) for i, j in m] for m in ms]
         for (u, v), ms in ref.slots.items()

@@ -443,6 +443,15 @@ class TestColorDegreeCover:
         cert = color_degree_cover(C4, twisted)
         assert not certificate_is_valid(C4, straight, cert)
 
+    def test_kept_answer_is_not_trusted(self):
+        # a colorable cover whose kept whole-cover answer says uncolorable:
+        # the recheck searches a fresh cover, so the forged certificate fails
+        straight, twisted = make_c4_covers()
+        forged = color_degree_cover(C4, twisted)
+        straight._whole = (None,)
+        assert find_coloring(straight) is None
+        assert not certificate_is_valid(C4, straight, forged)
+
     def test_preconditions(self):
         g = SimpleGraph(2, [])
         with pytest.raises(ValueError):
