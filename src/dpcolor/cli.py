@@ -266,6 +266,10 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        # an int past what Python can size a list or shift by, such as a huge list size
+        print(f"error: number too large: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

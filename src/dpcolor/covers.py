@@ -183,6 +183,8 @@ class Cover:
                 raise ValueError(f"matching key {key!r} is not a vertex pair") from None
             if e not in mult:
                 raise ValueError(f"matching key {key!r} is not an edge of the base graph")
+            if e in given:
+                raise ValueError(f"matching key {key!r}: edge {e} given twice")
             try:
                 slots = (value,) if bare else list(value)
             except TypeError:
@@ -423,16 +425,16 @@ def is_independent(c: Cover, p: PartialColoring) -> bool:
 
 def _spanning_tree_edges(g: SimpleGraph) -> set[tuple[int, int]]:
     # BFS from 0, neighbors ascending: deterministic
+    nbr = g._nbr
     tree: set[tuple[int, int]] = set()
-    seen = {0}
+    seen = 1
     queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for w in sorted(g.neighbors(u)):
-            if w not in seen:
-                seen.add(w)
-                tree.add((u, w) if u < w else (w, u))
-                queue.append(w)
+    for u in queue:  # the loop reads what it appends
+        new = nbr[u] & ~seen
+        seen |= new
+        for w in _bits(new):
+            tree.add((u, w) if u < w else (w, u))
+            queue.append(w)
     return tree
 
 
@@ -534,13 +536,24 @@ def cover_to_json(c: Cover) -> dict:
     return json.loads(cover_to_json_text(c))
 
 
+_COVER_KEYS = frozenset(("k", "list_sizes", "graph6", "multigraph", "matchings"))
+
+
 def cover_from_json(data: Mapping) -> Cover:
     """Rebuild a cover from its plain-dict form, validating shape.
 
-    Every malformed document raises ValueError.
+    Every malformed document raises ValueError, as does a key the form
+    does not have and a document giving both of ``k`` and ``list_sizes``,
+    or both of ``graph6`` and ``multigraph``.
     """
     if not isinstance(data, Mapping):
         raise ValueError("cover JSON must be an object")
+    for key in data:
+        if key not in _COVER_KEYS:
+            raise ValueError(f"unknown cover JSON key {key!r}")
+    for a, b in (("graph6", "multigraph"), ("k", "list_sizes")):
+        if a in data and b in data:
+            raise ValueError(f"cover JSON has both {a!r} and {b!r}")
     if "graph6" in data:
         if not isinstance(data["graph6"], str):
             raise ValueError(f"graph6 entry must be a string, got {data['graph6']!r}")

@@ -2,8 +2,8 @@
 
 Vertices are always 0..n-1.  ``SimpleGraph`` stores one int neighbor
 bitmask per vertex and is hashable: degrees are popcounts, and
-connectivity is a search over masks; its neighbor sets and sorted edge
-tuple are built on first use.  ``MultiGraph`` stores positive edge
+connectivity, cliques and blocks are searches over masks; its sorted
+edge tuple is built on first use.  ``MultiGraph`` stores positive edge
 multiplicities keyed by sorted vertex pairs.  A simple graph also answers
 the multigraph calls (``pairs``, ``multiplicity``, ``simple``) as the
 multigraph whose multiplicities are all 1, so covers and structure checks
@@ -46,7 +46,7 @@ def _bits(mask: int) -> tuple[int, ...]:
 class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1, immutable after construction."""
 
-    __slots__ = ("n", "m", "_nbr", "_sets", "_edges")
+    __slots__ = ("n", "m", "_nbr", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -73,8 +73,7 @@ class SimpleGraph:
         # _nbr[u] has bit w set when uw is an edge
         self._nbr: tuple[int, ...] = tuple(nbr)
         self.m = sum(map(int.bit_count, nbr)) // 2
-        # neighbor frozensets and the edge tuple, built on first use
-        self._sets: Optional[tuple[frozenset[int], ...]] = None
+        # the edge tuple, built on first use
         self._edges: Optional[tuple[tuple[int, int], ...]] = None
 
     @property
@@ -97,9 +96,7 @@ class SimpleGraph:
         return self._nbr[u] >> v & 1 == 1
 
     def neighbors(self, u: int) -> frozenset[int]:
-        if self._sets is None:
-            self._sets = tuple(frozenset(_bits(x)) for x in self._nbr)
-        return self._sets[u]
+        return frozenset(_bits(self._nbr[u]))
 
     def degree(self, u: int) -> int:
         return self._nbr[u].bit_count()
@@ -124,12 +121,10 @@ class SimpleGraph:
         if vs and not (0 <= vs[0] and vs[-1] < self.n):
             raise ValueError(f"vertices {vs} out of range for n={self.n}")
         index = {v: i for i, v in enumerate(vs)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges()
-            if u in index and v in index
-        ]
-        return SimpleGraph(len(vs), edges)
+        keep = sum(1 << v for v in vs)
+        return SimpleGraph._from_masks(
+            len(vs), [sum(1 << index[w] for w in _bits(self._nbr[v] & keep)) for v in vs]
+        )
 
     def _reach(self, seed: int) -> int:
         """The mask of the component holding the one vertex of mask seed."""
@@ -370,6 +365,7 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
     singleton block.  Blocks are reported sorted by their vertex tuples.
     """
     n = g.n
+    nbr = g._nbr
     disc = [-1] * n
     low = [0] * n
     edge_stack: list[tuple[int, int]] = []
@@ -387,7 +383,7 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
         timer += 1
         root_children = 0
         # stack entries: (vertex, parent, iterator over neighbors)
-        stack = [(root, -1, iter(sorted(g.neighbors(root))))]
+        stack = [(root, -1, iter(_bits(nbr[root])))]
         while stack:
             u, parent, it = stack[-1]
             advanced = False
@@ -398,7 +394,7 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
                     timer += 1
                     if u == root:
                         root_children += 1
-                    stack.append((w, u, iter(sorted(g.neighbors(w)))))
+                    stack.append((w, u, iter(_bits(nbr[w]))))
                     advanced = True
                     break
                 elif w != parent and disc[w] < disc[u]:
@@ -411,13 +407,11 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
                 pu = stack[-1][0]
                 low[pu] = min(low[pu], low[u])
                 if low[u] >= disc[pu]:
-                    # edges above (pu, u) on the stack form one block
+                    # (pu, u) and the edges above it, all pushed from u's
+                    # subtree, form one block
                     block_vertices: set[int] = set()
-                    while edge_stack:
-                        a, b = edge_stack[-1]
-                        if disc[a] < disc[u] and a != pu:
-                            break
-                        edge_stack.pop()
+                    while True:
+                        a, b = edge_stack.pop()
                         block_vertices.add(a)
                         block_vertices.add(b)
                         if (a, b) == (pu, u):
@@ -479,27 +473,23 @@ def degree_profile(g: BaseGraph, k: int) -> DegreeProfile:
 
 
 def contains_clique(g: SimpleGraph, t: int) -> bool:
-    """Exact test for a clique on t vertices (branch and bound)."""
+    """Exact test for a clique on t vertices (branch and bound on neighbor masks)."""
     if t < 1:
         raise ValueError(f"clique size must be at least 1, got {t}")
-    if t == 1:
-        return g.n >= 1
-    if t == 2:
-        return g.m >= 1
-    candidates = {u for u in g.vertices if g.degree(u) >= t - 1}
+    nbr = g._nbr
 
-    def extend(size: int, cands: set[int]) -> bool:
+    def extend(size: int, cands: int) -> bool:
+        # size vertices picked, all adjacent to every vertex of cands
         if size == t:
             return True
-        if size + len(cands) < t:
-            return False
-        for v in sorted(cands):
-            cands = cands - {v}
-            if extend(size + 1, cands & g.neighbors(v)):
+        while size + cands.bit_count() >= t:
+            low = cands & -cands
+            cands ^= low
+            if extend(size + 1, cands & nbr[low.bit_length() - 1]):
                 return True
         return False
 
-    return extend(0, candidates)
+    return extend(0, sum(1 << u for u, x in enumerate(nbr) if x.bit_count() >= t - 1))
 
 
 def clique_number(g: SimpleGraph) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .graphs import BaseGraph, SimpleGraph, block_decomposition, block_shape, is_clique
+from .graphs import BaseGraph, SimpleGraph, _bits, block_decomposition, block_shape
 
 
 def is_gallai_forest(g: SimpleGraph) -> bool:
@@ -68,48 +68,35 @@ def recognize_dirac(g: SimpleGraph, k: int) -> Optional[DiracWitness]:
     Anchors on the unique nonadjacent pair that can play the role of the
     two end vertices: everything else is determined by adjacency to that
     pair, so each candidate pair is checked directly against all the
-    defining conditions.
+    defining conditions, on neighbor masks.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     if g.n != 2 * k + 1 or g.m != k * k + k - 1:
         return None
+    nbr = g._nbr
+    everyone = (1 << g.n) - 1
     for x, y in combinations(range(g.n), 2):
-        if g.has_edge(x, y):
+        if nbr[x] >> y & 1:
             continue
-        v1: list[int] = []
-        v2: list[int] = []
-        ok = True
-        for w in g.vertices:
-            if w == x or w == y:
-                continue
-            hits = (1 if g.has_edge(w, x) else 0) + (1 if g.has_edge(w, y) else 0)
-            if hits == 2:
-                v2.append(w)
-            elif hits == 1:
-                v1.append(w)
-            else:
-                ok = False
-                break
-        if not ok or len(v1) != k or len(v2) != k - 1:
+        ends = 1 << x | 1 << y
+        # V2 sees both ends, V1 exactly one
+        v2 = nbr[x] & nbr[y]
+        v1 = nbr[x] ^ nbr[y]
+        if v1 | v2 | ends != everyone or v1.bit_count() != k or v2.bit_count() != k - 1:
             continue
-        if not (is_clique(g.induced(v1)) and is_clique(g.induced(v2))):
+        # past the ends, each vertex sees exactly the rest of its own part:
+        # both parts are cliques, with no edge between them
+        if any(nbr[w] & ~ends != (v1 if v1 >> w & 1 else v2) ^ 1 << w for w in _bits(v1 | v2)):
             continue
-        if any(g.has_edge(a, b) for a in v1 for b in v2):
+        if not (nbr[x] & v1 and nbr[y] & v1):
             continue
-        if not any(g.has_edge(w, x) for w in v1):
-            continue
-        if not any(g.has_edge(w, y) for w in v1):
-            continue
-        attachment = tuple(
-            (w, x if g.has_edge(w, x) else y) for w in sorted(v1)
-        )
         return DiracWitness(
             k=k,
-            V1=tuple(sorted(v1)),
-            V2=tuple(sorted(v2)),
+            V1=_bits(v1),
+            V2=_bits(v2),
             V3=(x, y),
-            attachment=attachment,
+            attachment=tuple([(w, x if nbr[w] >> x & 1 else y) for w in _bits(v1)]),
         )
     return None
 

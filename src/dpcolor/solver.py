@@ -13,8 +13,9 @@ seed keeps its answer on the cover, and later calls without ``stats``
 (``is_colorable``, ``is_critical``) return it; ``is_critical`` keeps
 its own answer too, so its deletion test runs once per cover.  Calls
 with ``stats`` always search.  Nothing is kept across covers, so
-``revalidate_row`` and ``certificate_is_valid``, which decode a fresh
-cover from its text, decide it again.  The deletion test of ``is_critical`` shares
+``revalidate_row``, which decodes a fresh cover from its text, and
+``certificate_is_valid``, which rebuilds one with ``Cover.from_slots``,
+decide it again.  The deletion test of ``is_critical`` shares
 its searches: a coloring of G - u also settles every w that is the
 one neighbor conflicting with some color of u, and settles the whole
 test when some color of u conflicts with no neighbor.

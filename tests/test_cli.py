@@ -114,6 +114,15 @@ class TestSolve:
         assert main(["solve", "--cover", write_cover(tmp_path, straight)]) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
 
+    @pytest.mark.parametrize("command", ["solve", "critical", "verify-structure"])
+    @pytest.mark.parametrize("g6", ["@", "A_"])
+    def test_list_size_past_any_allocation_exits_1(self, tmp_path, capsys, command, g6):
+        # too large to shift by ("@", one vertex) or to size a list by ("A_", one edge)
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"k":{10**20},"graph6":"{g6}","matchings":{{}}}}')
+        assert main([command, "--cover", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: number too large: ")
+
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self, tmp_path, capsys):
         # one search level per vertex, past Python's default limit of 1,000 frames
         edges = [[i, i + 1, 1] for i in range(1499)]

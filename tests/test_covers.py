@@ -274,6 +274,28 @@ class TestValidateCover:
                 ),
                 "matching key '0-1#01': slot given twice",
             ),
+            (  # one edge under both orientations
+                lambda: Cover(K2, [2, 2], {(0, 1): [(0, 0)], (1, 0): [(1, 1)]}),
+                "matching key (1, 0): edge (0, 1) given twice",
+            ),
+            (
+                lambda: Cover.from_slots(K2, [2, 2], {(0, 1): [[(0, 0)]], (1, 0): [[(1, 1)]]}),
+                "matching key (1, 0): edge (0, 1) given twice",
+            ),
+            (  # misspelled, so the matchings it holds would be lost
+                lambda: cover_from_json_text('{"k":2,"graph6":"A_","matching":{"0-1":[[0,0]]}}'),
+                "unknown cover JSON key 'matching'",
+            ),
+            (
+                lambda: cover_from_json_text('{"k":2,"list_sizes":[2,2],"graph6":"A_"}'),
+                "cover JSON has both 'k' and 'list_sizes'",
+            ),
+            (
+                lambda: cover_from_json_text(
+                    '{"graph6":"A_","multigraph":{"n":2,"edges":[[0,1,1]]},"k":2}'
+                ),
+                "cover JSON has both 'graph6' and 'multigraph'",
+            ),
         ],
         ids=[
             "non-int",
@@ -296,6 +318,11 @@ class TestValidateCover:
             "json-slot-range",
             "json-slot-given-twice",
             "json-parallel-slot-given-twice",
+            "both-orientations",
+            "from-slots-both-orientations",
+            "json-unknown-key",
+            "json-k-and-list-sizes",
+            "json-graph6-and-multigraph",
         ],
     )
     def test_single_fault_messages_are_exact(self, build, message):

@@ -291,8 +291,10 @@ def test_first_critical_cover_matches_reference_in_partial_regime():
     assert found >= 2  # C4 and the triangle have critical partial covers
 
 
-# the first critical 3-fold cover of each sits deep in enumerate_covers order
-DEEP_WITNESSES = {"Dn{": 4918, "E^NG": 653, "EyUw": 22}
+# the first critical 3-fold cover of each sits deep in enumerate_covers order;
+# on EyVw a box decided after the one at 1,318 holds a critical cover ranked
+# past it, so only the cut at the bound inside a box keeps the least
+DEEP_WITNESSES = {"Dn{": 4918, "E^NG": 653, "EyUw": 22, "EyVw": 1318}
 # the criterion-06 candidates on at most 6 vertices, and the 3-Dirac
 # graph the sweep keeps under include_dirac (witness at the first cover)
 CRITERION06_SMALL = ["Dl{", "EtTg", "ElUg", "F{cZG"]

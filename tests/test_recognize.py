@@ -1,12 +1,15 @@
 """Structural classes: Gallai/GDP forests, deficiency, Dirac graphs, bricks."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from dpcolor import (
+    DiracWitness,
     MultiGraph,
     SimpleGraph,
+    emit_graph6,
     find_brick,
     gdp_deficiency,
     is_gallai_forest,
@@ -169,6 +172,30 @@ class TestRecognizeDirac:
         )
         assert extra.m == 11
         assert recognize_dirac(extra, 3) is None
+
+    def test_against_brute_force_on_the_atlas(self):
+        # every end pair in order, and every V1 choice beside it: the first
+        # split that holds is the witness; the atlas has end pairs that fail
+        # only on the edges inside V1 and V2 and one that fails only on the
+        # end attachment
+        k = 3
+        for G in atlas_connected([2 * k + 1]):
+            if G.number_of_edges() != k * k + k - 1:
+                continue
+            g = from_nx(G)
+            want = None
+            for x, y in combinations(g.vertices, 2):
+                rest = [w for w in g.vertices if w not in (x, y)]
+                for v1 in combinations(rest, k):
+                    attachment = tuple((w, x if g.has_edge(w, x) else y) for w in v1)
+                    v2 = tuple(w for w in rest if w not in v1)
+                    split = DiracWitness(k, v1, v2, (x, y), attachment)
+                    if dirac_witness_holds(g, k, split):
+                        want = split
+                        break
+                if want is not None:
+                    break
+            assert recognize_dirac(g, k) == want, emit_graph6(g)
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
