@@ -58,6 +58,9 @@ EdgeChoices = tuple[tuple[tuple[int, int], tuple[Matching, ...]], ...]
 # conf[u][v][i]: bitmask of the colors of v matched to color i of u
 ConflictTables = list[dict[int, list[int]]]
 
+# adj[u]: a (v, conf[u][v]) pair for each neighbor v of u, in table order
+Adjacency = Sequence[Iterable[tuple[int, list[int]]]]
+
 # one matching of the pair (u, v) as its rows u -> v and v -> u; per pair, each
 # slot's rows, or None for a slot not given
 _SlotRows = tuple[list[int], list[int]]
@@ -147,17 +150,20 @@ class Cover:
     naming the edge and the pair otherwise.
 
     A cover is stored as its conflict tables (see the module docstring).
-    A pair of multiplicity t > 1 also keeps the rows of each of its t
-    matchings, so that slots and equality can tell them apart.
+    Beside them ``_adj`` holds the solver's neighbor lists, built once:
+    ``_adj[u]`` lists the ``(v, conf[u][v])`` pairs of ``conf[u]``,
+    sharing its row lists with no copy.  A pair of multiplicity t > 1
+    also keeps the rows of each of its t matchings, so that slots and
+    equality can tell them apart.
 
     A cover never changes, so what is decided about it is kept on it:
     ``_whole``, which holds ``(find_coloring(c),)`` once the solver has
     searched the whole cover with no target and no seed; and
     ``_critical``, ``is_critical(c)`` once it has been decided, else
-    None.  Equality and hashing ignore both.
+    None.  Equality and hashing ignore both, and the neighbor lists.
     """
 
-    __slots__ = ("base", "list_size", "_conf", "_parallel", "_whole", "_critical")
+    __slots__ = ("base", "list_size", "_conf", "_adj", "_parallel", "_whole", "_critical")
 
     def __init__(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping = {}):
         self._fill(base, sizes, matchings, bare=isinstance(base, SimpleGraph))
@@ -224,6 +230,7 @@ class Cover:
             conf[u][v] = fwd
             conf[v][u] = bwd
         self._conf = conf
+        self._adj = [list(row.items()) for row in conf]
         self._parallel = parallel
         self._whole: tuple[PartialColoring | None, ...] = ()
         self._critical: bool | None = None

@@ -426,21 +426,20 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
 
-def is_clique(g: SimpleGraph) -> bool:
-    """Every two vertices are adjacent (true for 0 and 1 vertices)."""
-    return g.m == g.n * (g.n - 1) // 2
+def block_shape(g: SimpleGraph, block: Optional[Iterable[int]] = None) -> Optional[str]:
+    """``"clique"`` or ``"cycle"`` for a block of g, else None; a triangle is a clique.
 
-
-def is_cycle_block(g: SimpleGraph) -> bool:
-    """At least 3 vertices, all of degree 2: a cycle, when g is a block (2-connected)."""
-    return g.n >= 3 and all(d == 2 for d in g.degrees())
-
-
-def block_shape(g: SimpleGraph) -> Optional[str]:
-    """``"clique"`` or ``"cycle"`` for a block, else None; a triangle is a clique."""
-    if is_clique(g):
+    ``block`` is the block's vertices, all of g when not given.  The
+    shape is read off the neighbor masks: in a clique each vertex sees
+    every other vertex of the block, in a cycle each sees two (so the
+    block has at least three vertices).
+    """
+    nbr = g._nbr
+    inside = (1 << g.n) - 1 if block is None else sum(1 << v for v in block)
+    seen = [(nbr[v] & inside).bit_count() for v in _bits(inside)]
+    if all(d == len(seen) - 1 for d in seen):
         return "clique"
-    if is_cycle_block(g):
+    if all(d == 2 for d in seen):
         return "cycle"
     return None
 

@@ -28,9 +28,10 @@ from .covers import Cover, cover_from_json_text, cover_to_json_text, is_full_mat
 from .graphs import (
     Graph6Error,
     SimpleGraph,
+    _bits,
+    block_shape,
     contains_clique,
     emit_graph6,
-    is_clique,
     parse_graph6,
 )
 from .recognize import is_gdp_forest, recognize_dirac
@@ -287,27 +288,23 @@ def verify_critical_structure(c: Cover) -> CriticalStructureReport:
         raise ValueError("cover is not critical")
     base = c.base
     simple = base.simple()
+    nbr = simple._nbr
     degrees = base.degrees()
-    low = tuple(sorted(u for u in range(base.n) if degrees[u] == k))
-    low_set = set(low)
+    low = tuple([u for u in range(base.n) if degrees[u] == k])
+    outside = ~sum(1 << u for u in low)
     induced = simple.induced(low)
     forest_ok = is_gdp_forest(induced)
 
     checks = []
     for comp in induced.connected_components():
-        vs = tuple(sorted(low[i] for i in comp))
-        boundary = sum(
-            base.multiplicity(u, w)
-            for u in vs
-            for w in simple.neighbors(u)
-            if w not in low_set
-        )
-        sub = simple.induced(vs)
-        complete = is_clique(sub)
-        is_full = complete and sub.n == k + 1 and base.n == k + 1
+        vs = tuple(sorted([low[i] for i in comp]))
+        # the edges to vertices of higher degree, counted with multiplicity
+        boundary = sum([base.multiplicity(u, w) for u in vs for w in _bits(nbr[u] & outside)])
+        complete = block_shape(simple, vs) == "clique"
+        is_full = complete and len(vs) == k + 1 and base.n == k + 1
         bound_ok = is_full or boundary >= k
         equality = boundary == k
-        equality_shape_ok = (not equality) or (complete and sub.n == k)
+        equality_shape_ok = (not equality) or (complete and len(vs) == k)
         checks.append(
             ComponentCheck(vs, boundary, is_full, bound_ok, equality, equality_shape_ok)
         )

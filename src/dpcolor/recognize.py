@@ -22,7 +22,7 @@ from .graphs import BaseGraph, SimpleGraph, _bits, block_decomposition, block_sh
 def is_gallai_forest(g: SimpleGraph) -> bool:
     """Every block is a clique or an odd cycle."""
     for block in block_decomposition(g).blocks:
-        shape = block_shape(g.induced(block))
+        shape = block_shape(g, block)
         if not (shape == "clique" or (shape == "cycle" and len(block) % 2 == 1)):
             return False
     return True
@@ -30,7 +30,7 @@ def is_gallai_forest(g: SimpleGraph) -> bool:
 
 def is_gdp_forest(g: SimpleGraph) -> bool:
     """Every block is a clique or a cycle (any parity)."""
-    return all(block_shape(g.induced(b)) is not None for b in block_decomposition(g).blocks)
+    return all(block_shape(g, b) is not None for b in block_decomposition(g).blocks)
 
 
 def gdp_deficiency(f: SimpleGraph, k: int) -> int:

@@ -8,6 +8,17 @@ in ascending order, and pruning a neighbor's color the moment a
 matching pair joins it to the current pick.  All answers are exact;
 instances are expected to be desk scale (n at most about 13).
 
+The search walks a list of (neighbor, rows) pairs per vertex: a
+``Cover`` builds its lists once beside its tables, and a box search
+reads live ``items()`` views of the tables it patches, so no search
+builds them.  A pick that would empty a neighbor's colors is refused
+before any mask is written, and every pick's removals go on one trail
+that an undo pops back.  The scan for the fewest colors stops at the
+first vertex with one color, which a full scan picks too, so the
+branching rule, every pick and every node count stay those of the full
+scan.  The search keeps its own stack, so no recursion limit bounds its
+depth.
+
 A cover is decided once: ``find_coloring(c)`` with no target and no
 seed keeps its answer on the cover, and later calls without ``stats``
 (``is_colorable``, ``is_critical``) return it; ``is_critical`` keeps
@@ -54,6 +65,7 @@ from math import prod
 from typing import Iterable, Iterator, Optional
 
 from .covers import (
+    Adjacency,
     ConflictTables,
     Cover,
     PartialColoring,
@@ -69,8 +81,6 @@ from .graphs import (
     block_decomposition,
     block_shape,
     clique_number,
-    is_clique,
-    is_cycle_block,
 )
 
 
@@ -82,29 +92,46 @@ class SearchStats:
 
 
 def _search(
-    conf: ConflictTables, avail: list[int], todo: Iterable[int], stats: SearchStats
+    adj: Adjacency, avail: list[int], todo: Iterable[int], stats: SearchStats
 ) -> Optional[dict[int, int]]:
     """Pick a color for every vertex of todo, or None if impossible.
 
-    avail[u] is the bitmask of u's surviving colors; the search consumes
-    it.  Vertices outside todo are ignored.  Nodes expanded are added
-    to stats.  The search keeps its own stack, one frame per picked
-    vertex, so its depth is not bounded by Python's recursion limit.
+    adj[u] holds a (v, conf[u][v]) pair for each neighbor v of u, in
+    table order: a cover's lists, or the ``items()`` views of a table
+    set.  avail[u] is the bitmask of u's surviving colors; the search
+    consumes it.  Vertices outside todo are ignored.  Nodes expanded are
+    added to stats.
+
+    A pick that would empty a free neighbor's colors is refused before
+    any mask is written, so every free vertex keeps a color: once no
+    todo vertex starts empty, the scan for the fewest colors can stop at
+    the first vertex with one, the vertex the full scan picks.  Each
+    pick's removals go on one trail, and a frame holds the trail length
+    before its pick, so an undo pops the trail back to it.  The search
+    keeps its own stack, one frame per picked vertex, so its depth is
+    not bounded by Python's recursion limit.
     """
     order = sorted(todo)
     free = [False] * len(avail)
     for u in order:
+        if not avail[u]:
+            return None
         free[u] = True
     nodes = 0
+    # what the picks removed, oldest first: a free neighbor and the colors it lost
+    trail: list[tuple[int, int]] = []
     # one frame per picked vertex, deepest last: the vertex, its pick, the
-    # colors it has left to try, and what the pick removed from its neighbors
-    frames: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    # colors it has left to try, and the trail length before the pick
+    frames: list[tuple[int, int, int, int]] = []
     while True:
         u = -1
         fewest = 0
         for x in order:
             if free[x]:
                 count = avail[x].bit_count()
+                if count == 1:
+                    u = x
+                    break
                 if u < 0 or count < fewest:
                     u, fewest = x, count
         if u < 0:
@@ -112,25 +139,24 @@ def _search(
             return {w: i for w, i, _, _ in frames}
         free[u] = False
         live = avail[u]
+        mark = len(trail)
         while True:
             if live:
                 low = live & -live
                 live ^= low
                 i = low.bit_length() - 1
                 nodes += 1
-                removed: list[tuple[int, int]] = []
-                dead = False
-                for v, row in conf[u].items():
+                for v, row in adj[u]:
                     if free[v]:
-                        hit = avail[v] & row[i]
+                        left = avail[v]
+                        hit = left & row[i]
                         if hit:
-                            avail[v] ^= hit
-                            removed.append((v, hit))
-                            if not avail[v]:
-                                dead = True
+                            if hit == left:
                                 break
-                if not dead:
-                    frames.append((u, i, live, removed))
+                            avail[v] = left ^ hit
+                            trail.append((v, hit))
+                else:
+                    frames.append((u, i, live, mark))
                     break
             else:
                 # u has no color left: take back the pick before it
@@ -138,8 +164,9 @@ def _search(
                 if not frames:
                     stats.nodes_expanded += nodes
                     return None
-                u, _, live, removed = frames.pop()
-            for v, hit in removed:
+                u, _, live, mark = frames.pop()
+            while len(trail) > mark:
+                v, hit = trail.pop()
                 avail[v] |= hit
 
 
@@ -170,13 +197,13 @@ def find_coloring(
             raise ValueError(f"target vertex {u} out of range")
     todo -= seed.dom
 
-    conf = c.conflict_tables()
+    adj = c._adj
     avail = [(1 << s) - 1 for s in c.list_size]
     for w, j in seed.items:
-        for v, row in conf[w].items():
+        for v, row in adj[w]:
             avail[v] &= ~row[j]
     local = SearchStats()
-    assignment = _search(conf, avail, todo, local)
+    assignment = _search(adj, avail, todo, local)
     if stats is not None:
         stats.nodes_expanded = local.nodes_expanded
     found = None if assignment is None else seed.extended(assignment)
@@ -189,14 +216,21 @@ def is_colorable(c: Cover, stats: Optional[SearchStats] = None) -> bool:
     return find_coloring(c, stats=stats) is not None
 
 
-def _survives_every_deletion(conf: ConflictTables, sizes: Iterable[int]) -> bool:
+def _survives_every_deletion(
+    conf: ConflictTables, sizes: Iterable[int], adj: Optional[Adjacency] = None
+) -> bool:
     """Is the cover with these tables colorable after dropping any one vertex?
 
     One coloring psi of G - u settles more than u.  A color i of u that
     no pick of psi conflicts with extends psi to the whole cover, which
     settles every deletion.  A color i of u that conflicts with the pick
     of one neighbor w alone gives, with psi, a coloring of G - w.
+
+    ``adj`` is the tables' neighbor lists (see ``_search``); they are
+    built once here when not given.
     """
+    if adj is None:
+        adj = [list(row.items()) for row in conf]
     full = [(1 << s) - 1 for s in sizes]
     n = len(full)
     stats = SearchStats()
@@ -204,11 +238,11 @@ def _survives_every_deletion(conf: ConflictTables, sizes: Iterable[int]) -> bool
     for u in range(n):
         if settled[u]:
             continue
-        psi = _search(conf, list(full), [w for w in range(n) if w != u], stats)
+        psi = _search(adj, list(full), [w for w in range(n) if w != u], stats)
         if psi is None:
             return False
         for i in _bits(full[u]):
-            hit = [w for w, row in conf[u].items() if row[i] >> psi[w] & 1]
+            hit = [w for w, row in adj[u] if row[i] >> psi[w] & 1]
             if not hit:
                 return True
             if len(hit) == 1:
@@ -223,7 +257,7 @@ def is_critical(c: Cover) -> bool:
     """
     if c._critical is None:
         c._critical = not is_colorable(c) and _survives_every_deletion(
-            c.conflict_tables(), c.list_size
+            c.conflict_tables(), c.list_size, c._adj
         )
     return c._critical
 
@@ -297,6 +331,9 @@ class _BoxSearch:
         m = len(self.choices)
         self.conf: ConflictTables = [{} for _ in range(g.n)]
         self.union: ConflictTables = [{} for _ in range(g.n)]
+        # their neighbor lists for the search: live views, which see every patch
+        self._conf_adj = [row.items() for row in self.conf]
+        self._union_adj = [row.items() for row in self.union]
         self._held = [0] * m
         self._loaded: list[_EdgeRows] = [None] * m  # type: ignore[list-item]
         # a bit per edge the union set spares, and each vertex's live colors there
@@ -387,11 +424,11 @@ class _BoxSearch:
                 continue
             self.boxes += 1
             live = self.load(box)
-            phi = None if live is None else _search(self.union, live, range(n), self.stats)
+            phi = None if live is None else _search(self._union_adj, live, range(n), self.stats)
             if phi is not None:
                 self.spared += 1
             else:
-                phi = _search(self.conf, [full] * n, range(n), self.stats)
+                phi = _search(self._conf_adj, [full] * n, range(n), self.stats)
             if phi is None:
                 self.uncolorable += 1
                 yield box, None
@@ -419,7 +456,7 @@ class _BoxSearch:
         """
         self.deletion_tests += 1
         self.load(cover)
-        return _survives_every_deletion(self.conf, [self.k] * len(self.conf))
+        return _survives_every_deletion(self.conf, [self.k] * len(self.conf), self._conf_adj)
 
     def first_critical(self) -> tuple[int, Optional[Cover]]:
         """``first_critical_cover`` on these covers; the instance keeps its counters."""
@@ -588,7 +625,7 @@ def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
     blocks = []
     for block in bd.blocks:
         vs = tuple(sorted(block))
-        kind = block_shape(g.induced(vs))
+        kind = block_shape(g, vs)
         if kind is None:
             raise RuntimeError(
                 f"uncolorable degree cover on a block {vs} that is neither "
@@ -650,8 +687,8 @@ def certificate_is_valid(g: SimpleGraph, c: Cover, cert: GDPCertificate) -> bool
         return False
     for vs, kind in found.items():
         # a triangle is both, and either kind certifies it
-        sub = g.induced(vs)
-        if not (kind == "clique" and is_clique(sub) or kind == "cycle" and is_cycle_block(sub)):
+        shape = block_shape(g, vs)
+        if shape is None or not (kind == shape or kind == "cycle" and len(vs) == 3):
             return False
     if cert.degree_tight is not True:
         return False

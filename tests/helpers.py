@@ -6,14 +6,17 @@ against an independent route.  The exceptions are the orbit-reduced
 cover walk and the deletion test with one search per vertex, which
 share the package's search but decide covers the way the package did
 before its box search and its shared deletion test; their own tests
-check them against brute force.
+check them against brute force.  The package's earlier search over
+dict tables, and its earlier block shape and structure check on
+induced subgraphs, are kept here too, as the oracles of the versions
+that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
 from random import Random
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import networkx as nx
 
@@ -28,8 +31,9 @@ from dpcolor import (
     residual_list,
 )
 from dpcolor.covers import ConflictTables, EdgeChoices, Matching, conflict_rows
-from dpcolor.graphs import BaseGraph, emit_graph6
-from dpcolor.solver import _search
+from dpcolor.graphs import BaseGraph, block_decomposition, emit_graph6
+from dpcolor.harness import ComponentCheck, CriticalStructureReport
+from dpcolor.solver import _search, is_critical
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -46,6 +50,13 @@ def from_nx(G: nx.Graph) -> SimpleGraph:
 
 def nx_graph6(G: nx.Graph) -> str:
     return nx.to_graph6_bytes(G, header=False).decode().strip()
+
+
+def atlas_graphs() -> list[SimpleGraph]:
+    """Every graph of the networkx atlas, connected or not (n <= 7)."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    return [from_nx(G) for G in graph_atlas_g()]
 
 
 def atlas_connected(sizes) -> list[nx.Graph]:
@@ -280,13 +291,15 @@ def orbit_walk(
     stab = [subgroup(tuple(range(len(conj))))] * (len(moving) + 1)
     full = (1 << k) - 1
     stats = SearchStats()
+    # live views of the tables, which see every step's patch
+    adj = [row.items() for row in conf]
     coloring: Optional[tuple[int, ...]] = None
     changed: list[tuple[int, int]] = []
     while True:
         if coloring is None or any(
             conf[u][v][coloring[u]] >> coloring[v] & 1 for u, v in changed
         ):
-            found = _search(conf, [full] * n, range(n), stats)
+            found = _search(adj, [full] * n, range(n), stats)
             coloring = None if found is None else tuple(found[u] for u in range(n))
         yield coloring, conf, digits, len(conj) // len(groups[stab[-1]])
         for at in range(len(moving) - 1, -1, -1):
@@ -349,8 +362,9 @@ def deletion_test_by_vertex(conf: ConflictTables, sizes) -> bool:
     full = [(1 << s) - 1 for s in sizes]
     n = len(full)
     stats = SearchStats()
+    adj = [row.items() for row in conf]
     return all(
-        _search(conf, list(full), [w for w in range(n) if w != u], stats) is not None
+        _search(adj, list(full), [w for w in range(n) if w != u], stats) is not None
         for u in range(n)
     )
 
@@ -610,3 +624,154 @@ def dirac_witness_holds(g: SimpleGraph, k: int, w) -> bool:
     if any(not g.has_edge(u, z) or z not in v3 for u, z in attach.items()):
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# earlier implementations, kept as the oracles of their replacements
+
+
+def reference_search(
+    conf: ConflictTables, avail: list[int], todo: Iterable[int], stats: SearchStats
+) -> Optional[dict[int, int]]:
+    """Pick a color for every vertex of todo, or None if impossible.
+
+    ``dpcolor.solver._search`` as it was before it walked neighbor lists
+    and undid picks from one trail: it reads ``conf[u].items()`` at each
+    node, keeps a list of removals per frame, and scans every free
+    vertex for the fewest colors.  Same picks, same node counts.
+
+    avail[u] is the bitmask of u's surviving colors; the search consumes
+    it.  Vertices outside todo are ignored.  Nodes expanded are added
+    to stats.  The search keeps its own stack, one frame per picked
+    vertex, so its depth is not bounded by Python's recursion limit.
+    """
+    order = sorted(todo)
+    free = [False] * len(avail)
+    for u in order:
+        free[u] = True
+    nodes = 0
+    # one frame per picked vertex, deepest last: the vertex, its pick, the
+    # colors it has left to try, and what the pick removed from its neighbors
+    frames: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    while True:
+        u = -1
+        fewest = 0
+        for x in order:
+            if free[x]:
+                count = avail[x].bit_count()
+                if u < 0 or count < fewest:
+                    u, fewest = x, count
+        if u < 0:
+            stats.nodes_expanded += nodes
+            return {w: i for w, i, _, _ in frames}
+        free[u] = False
+        live = avail[u]
+        while True:
+            if live:
+                low = live & -live
+                live ^= low
+                i = low.bit_length() - 1
+                nodes += 1
+                removed: list[tuple[int, int]] = []
+                dead = False
+                for v, row in conf[u].items():
+                    if free[v]:
+                        hit = avail[v] & row[i]
+                        if hit:
+                            avail[v] ^= hit
+                            removed.append((v, hit))
+                            if not avail[v]:
+                                dead = True
+                                break
+                if not dead:
+                    frames.append((u, i, live, removed))
+                    break
+            else:
+                # u has no color left: take back the pick before it
+                free[u] = True
+                if not frames:
+                    stats.nodes_expanded += nodes
+                    return None
+                u, _, live, removed = frames.pop()
+            for v, hit in removed:
+                avail[v] |= hit
+
+
+def is_clique(g: SimpleGraph) -> bool:
+    """Every two vertices are adjacent (true for 0 and 1 vertices)."""
+    return g.m == g.n * (g.n - 1) // 2
+
+
+def is_cycle_block(g: SimpleGraph) -> bool:
+    """At least 3 vertices, all of degree 2: a cycle, when g is a block (2-connected)."""
+    return g.n >= 3 and all(d == 2 for d in g.degrees())
+
+
+def reference_block_shape(g: SimpleGraph, vs) -> Optional[str]:
+    """``block_shape(g, vs)`` as it was: the shape of the induced subgraph on vs."""
+    sub = g.induced(vs)
+    if is_clique(sub):
+        return "clique"
+    if is_cycle_block(sub):
+        return "cycle"
+    return None
+
+
+def reference_is_gdp_forest(g: SimpleGraph) -> bool:
+    return all(reference_block_shape(g, b) is not None for b in block_decomposition(g).blocks)
+
+
+def reference_is_gallai_forest(g: SimpleGraph) -> bool:
+    for block in block_decomposition(g).blocks:
+        shape = reference_block_shape(g, block)
+        if not (shape == "clique" or (shape == "cycle" and len(block) % 2 == 1)):
+            return False
+    return True
+
+
+def reference_kind_certifies(g: SimpleGraph, vs, kind) -> bool:
+    """The per-block test of ``certificate_is_valid`` as it was; a triangle is both kinds."""
+    sub = g.induced(vs)
+    return kind == "clique" and is_clique(sub) or kind == "cycle" and is_cycle_block(sub)
+
+
+def reference_verify_critical_structure(c: Cover) -> CriticalStructureReport:
+    """``verify_critical_structure`` as it was, on induced graphs and neighbor sets."""
+    k = c.k
+    if k is None or k < 1:
+        raise ValueError("cover does not have a uniform positive list size")
+    if not is_critical(c):
+        raise ValueError("cover is not critical")
+    base = c.base
+    simple = base.simple()
+    degrees = base.degrees()
+    low = tuple(sorted(u for u in range(base.n) if degrees[u] == k))
+    low_set = set(low)
+    induced = simple.induced(low)
+    forest_ok = reference_is_gdp_forest(induced)
+    checks = []
+    for comp in induced.connected_components():
+        vs = tuple(sorted(low[i] for i in comp))
+        boundary = sum(
+            base.multiplicity(u, w) for u in vs for w in simple.neighbors(u) if w not in low_set
+        )
+        sub = simple.induced(vs)
+        complete = is_clique(sub)
+        is_full = complete and sub.n == k + 1 and base.n == k + 1
+        bound_ok = is_full or boundary >= k
+        equality = boundary == k
+        equality_shape_ok = (not equality) or (complete and sub.n == k)
+        checks.append(ComponentCheck(vs, boundary, is_full, bound_ok, equality, equality_shape_ok))
+    min_degree = min(degrees) if degrees else 0
+    in_scope = k >= 3
+    structure_ok = forest_ok and all(ch.bound_ok and ch.equality_shape_ok for ch in checks)
+    return CriticalStructureReport(
+        k=k,
+        in_scope=in_scope,
+        min_degree=min_degree,
+        min_degree_ok=min_degree >= k,
+        D=low,
+        gdp_forest=forest_ok,
+        components=tuple(checks),
+        ok=min_degree >= k and (structure_ok or not in_scope),
+    )

@@ -17,16 +17,20 @@ from dpcolor import (
     emit_graph6,
     parse_graph6,
 )
-from dpcolor.graphs import block_shape, is_clique, is_cycle_block
+from dpcolor.graphs import block_shape
 from dpcolor.construct import make_dirac, make_wheel
 
 from helpers import (
     atlas_connected,
+    atlas_graphs,
     from_nx,
+    is_clique,
+    is_cycle_block,
     nx_block_kind,
     nx_clique_number,
     nx_graph6,
     random_connected_graph,
+    reference_block_shape,
     to_nx,
 )
 
@@ -302,6 +306,16 @@ class TestBlockShape:
             g = from_nx(G)
             for block in block_decomposition(g).blocks:
                 assert block_shape(g.induced(block)) == nx_block_kind(G, block)
+
+    def test_a_block_of_g_against_the_induced_shape(self):
+        # blocks, components, the whole graph and random vertex sets of every atlas graph
+        rng = Random(1616)
+        for g in atlas_graphs():
+            sets = [list(g.vertices), *block_decomposition(g).blocks, *g.connected_components()]
+            sets += [[v for v in g.vertices if rng.random() < 0.5] for _ in range(4)]
+            for vs in sets:
+                assert block_shape(g, vs) == reference_block_shape(g, vs)
+            assert block_shape(g) == reference_block_shape(g, g.vertices)
 
 
 class TestCliques:

@@ -6,9 +6,11 @@ import json
 import logging
 import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
+import dpcolor.harness
 from dpcolor import (
     Cover,
     SimpleGraph,
@@ -36,6 +38,9 @@ from dpcolor.harness import (
     verify_dirac_bound,
 )
 from dpcolor.solver import _BoxSearch
+
+import helpers
+from helpers import atlas_graphs, random_multigraph, reference_verify_critical_structure
 
 
 def complete(n):
@@ -425,6 +430,32 @@ class TestVerifyCriticalStructure:
         assert len(report.components) == 1
         assert report.components[0].boundary_edges == 4
         assert report.gdp_forest
+
+    def test_against_the_induced_graph_oracle_on_planted_covers(self):
+        covers = [make_c4_covers()[1], make_multigraph_counterexample(3)[1]]
+        for k in (3, 4, 5):
+            covers.append(cover_from_lists(complete(k + 1), [list(range(k))] * (k + 1)))
+            for a in range(1, k):
+                g = make_dirac(k, a)
+                covers.append(cover_from_lists(g, [list(range(k))] * g.n))
+            g, lists = make_ks_example(k)
+            covers.append(cover_from_lists(g, lists))
+        for cover in covers:
+            assert verify_critical_structure(cover) == reference_verify_critical_structure(cover)
+
+    def test_against_the_induced_graph_oracle_on_the_atlas(self, monkeypatch):
+        # every atlas graph and some multigraphs at each degree k, taken as critical,
+        # so that components, boundaries and cliques of every shape are compared
+        monkeypatch.setattr(dpcolor.harness, "is_critical", lambda c: True)
+        monkeypatch.setattr(helpers, "is_critical", lambda c: True)
+        rng = Random(1818)
+        bases = [g for g in atlas_graphs() if g.n] + [
+            random_multigraph(rng, rng.randint(2, 6), max_mult=3) for _ in range(300)
+        ]
+        for base in bases:
+            for k in sorted(set(base.degrees()) - {0}):
+                cover = Cover.from_slots(base, [k] * base.n, {})
+                assert verify_critical_structure(cover) == reference_verify_critical_structure(cover)
 
     def test_non_critical_rejected(self):
         straight, _ = make_c4_covers()

@@ -27,8 +27,15 @@ from dpcolor import (
 )
 
 from dpcolor.covers import is_full_matching
+from dpcolor.solver import SearchStats, _BoxSearch, _search
 
-from helpers import ReferenceCover, brute_force_colorings
+from helpers import (
+    ReferenceCover,
+    brute_force_colorings,
+    random_connected_graph,
+    random_cover,
+    reference_search,
+)
 
 # small enough that brute force stays under a millisecond per cover
 MAX_N = 5
@@ -336,6 +343,71 @@ def test_find_coloring_agrees_with_brute_force(c):
     if got is not None:
         assert is_independent(c, got)
         assert tuple(got.pick(u) for u in range(c.n)) in hits
+
+
+# ---------------------------------------------------------------------------
+# the search over neighbor lists against the dict-table search it replaced
+
+
+@st.composite
+def search_instances(draw):
+    """A cover, start masks that may hold zeros, and a todo set.
+
+    The cover is any drawn cover, or a dense perfect one, which makes
+    the search backtrack.  The todo set is every vertex, every vertex
+    but one (the shape of a deletion test), or any subset.
+    """
+    if draw(st.booleans()):
+        c = draw(covers(max_n=8))
+    else:
+        rnd = draw(st.randoms(use_true_random=False))
+        n, k = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+        c = random_cover(rnd, random_connected_graph(rnd, n, extra_p=0.6), [k] * n, perfect=True)
+    n = c.n
+    shape = draw(st.sampled_from(["all", "all but one", "subset"]))
+    if shape == "all" or n == 0:
+        todo = list(range(n))
+    elif shape == "all but one":
+        gone = draw(st.integers(0, n - 1))
+        todo = [w for w in range(n) if w != gone]
+    else:
+        todo = sorted(draw(st.sets(st.integers(0, n - 1))))
+    full = [(1 << s) - 1 for s in c.list_size]
+    avail = [draw(st.integers(0, f)) if draw(st.integers(0, 3)) == 0 else f for f in full]
+    return c, avail, todo
+
+
+def assert_same_search(conf, adjs, avail, todo) -> None:
+    """Every neighbor-list form of the tables gives the reference's picks and node count."""
+    want_stats = SearchStats()
+    want = reference_search(conf, list(avail), todo, want_stats)
+    for adj in adjs:
+        stats = SearchStats()
+        assert _search(adj, list(avail), todo, stats) == want
+        assert stats.nodes_expanded == want_stats.nodes_expanded
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_instances())
+def test_search_matches_the_dict_table_search(instance):
+    c, avail, todo = instance
+    conf = c.conflict_tables()
+    assert_same_search(conf, [c._adj, [row.items() for row in conf]], avail, todo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_box_searches_match_the_dict_table_search(rnd, data):
+    # a few boxes loaded in turn, so the views must see each load's patches
+    g = random_connected_graph(rnd, data.draw(st.integers(2, 5)), extra_p=0.4)
+    k = data.draw(st.integers(2, 3))
+    boxes = _BoxSearch(g, k, data.draw(st.sampled_from(["perfect", "partial"])))
+    for _ in range(data.draw(st.integers(1, 4))):
+        box = [data.draw(st.integers(1, (1 << len(options)) - 1)) for _, options in boxes.choices]
+        live = boxes.load(box)
+        assert_same_search(boxes.conf, [boxes._conf_adj], [(1 << k) - 1] * g.n, range(g.n))
+        if live is not None:
+            assert_same_search(boxes.union, [boxes._union_adj], live, range(g.n))
 
 
 @st.composite

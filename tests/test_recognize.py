@@ -20,11 +20,14 @@ from dpcolor.construct import make_dirac, make_multigraph_counterexample
 
 from helpers import (
     atlas_connected,
+    atlas_graphs,
     connected_gdp_trees,
     dirac_witness_holds,
     from_nx,
     nx_is_gallai_forest,
     nx_is_gdp_forest,
+    reference_is_gallai_forest,
+    reference_is_gdp_forest,
     to_nx,
 )
 
@@ -74,6 +77,11 @@ class TestForestRecognizers:
             g = from_nx(G)
             assert is_gallai_forest(g) == nx_is_gallai_forest(G)
             assert is_gdp_forest(g) == nx_is_gdp_forest(G)
+
+    def test_against_the_induced_shape_oracle(self):
+        for g in atlas_graphs():
+            assert is_gdp_forest(g) == reference_is_gdp_forest(g)
+            assert is_gallai_forest(g) == reference_is_gallai_forest(g)
 
     def test_disconnected_checks_every_component(self):
         # C4 plus a separate triangle: gdp yes, gallai no

@@ -5,11 +5,14 @@ from random import Random
 
 import pytest
 
+import dpcolor.solver
 from dpcolor import (
     Cover,
+    GDPCertificate,
     PartialColoring,
     SearchStats,
     SimpleGraph,
+    block_decomposition,
     certificate_is_valid,
     chi_dp,
     color_degree_cover,
@@ -25,10 +28,13 @@ from dpcolor import (
 from dpcolor.construct import make_c4_covers, make_ks_example, make_wheel
 
 from helpers import (
+    atlas_connected,
     brute_force_colorings,
     brute_force_k_colorable,
+    from_nx,
     random_connected_graph,
     random_cover,
+    reference_kind_certifies,
 )
 
 C4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -437,6 +443,48 @@ class TestColorDegreeCover:
         cert = color_degree_cover(g, c)
         as_cycle = dataclasses.replace(cert, blocks=(("cycle", (0, 1, 2, 3)),))
         assert not certificate_is_valid(g, c, as_cycle)
+
+    def test_block_kinds_against_the_induced_oracle(self):
+        # each kind, known or not, at each block of uncolorable degree covers
+        rng = Random(1717)
+        seen = set()
+        for _ in range(300):
+            g = random_connected_graph(rng, rng.randint(2, 6), extra_p=0.3)
+            c = random_cover(rng, g, g.degrees(), perfect=True)
+            cert = color_degree_cover(g, c)
+            if cert.colorable:
+                continue
+            for at, (_, vs) in enumerate(cert.blocks):
+                for kind in ("clique", "cycle", None, "path"):
+                    blocks = list(cert.blocks)
+                    blocks[at] = (kind, vs)
+                    want = all(reference_kind_certifies(g, ws, kd) for kd, ws in blocks)
+                    changed = dataclasses.replace(cert, blocks=tuple(blocks))
+                    assert certificate_is_valid(g, c, changed) == want
+                    seen.add((len(vs), kind, want))
+        # edges, triangles as either kind, and cycles, each accepted and refused
+        assert {(2, "clique", True), (2, "cycle", False), (3, "cycle", True)} <= seen
+        assert {(4, "cycle", True), (4, "clique", False), (3, None, False)} <= seen
+
+    def test_every_atlas_block_kind_against_the_induced_oracle(self, monkeypatch):
+        # taken as uncolorable with full matchings, so that the block kinds alone
+        # decide, blocks of no shape included
+        monkeypatch.setattr(dpcolor.solver, "find_coloring", lambda c: None)
+        monkeypatch.setattr(dpcolor.solver, "is_full_matching", lambda c, u, v: True)
+        for G in atlas_connected(range(1, 8)):
+            g = from_nx(G)
+            c = Cover(g, g.degrees())
+            bd = block_decomposition(g)
+            cuts = tuple(sorted(bd.cut_vertices))
+            pairs = tuple((u, v) for u, v in g.edges() if u not in cuts and v not in cuts)
+            blocks = [("clique", tuple(sorted(b))) for b in bd.blocks]
+            for at, (_, vs) in enumerate(blocks):
+                for kind in ("clique", "cycle", None, "path"):
+                    changed = list(blocks)
+                    changed[at] = (kind, vs)
+                    cert = GDPCertificate(False, None, tuple(changed), cuts, True, pairs)
+                    want = all(reference_kind_certifies(g, ws, kd) for kd, ws in changed)
+                    assert certificate_is_valid(g, c, cert) == want
 
     def test_certificate_rejected_for_wrong_cover(self):
         straight, twisted = make_c4_covers()
