@@ -137,10 +137,7 @@ def _cmd_verify_dirac(args) -> int:
     )
     # split on newlines only: str.splitlines() also breaks at \x1c-\x1e and \x85
     rows = verify_dirac_bound(cfg, _read_text(args.graphs).split("\n"))
-    if args.out:
-        emit_report(rows, args.format, args.out)
-    else:
-        emit_report(rows, args.format, sys.stdout)
+    emit_report(rows, args.format, args.out or sys.stdout)
     refuted = [r for r in rows if r.critical_cover_found and not r.is_dirac]
     found = sum(1 for r in rows if r.critical_cover_found)
     print(
@@ -224,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=["perfect", "partial"], default="perfect")
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, one per graph at most")
     p.add_argument(
         "--max-n",
         type=int,

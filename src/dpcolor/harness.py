@@ -197,7 +197,8 @@ def verify_dirac_bound(cfg: SweepConfig, lines: Iterable[str]) -> list[DiracRepo
         # 13 ms to every import of the package, and serial sweeps never use it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        # under fork every worker starts at the first submit: one per graph at most
+        with ProcessPoolExecutor(max_workers=min(cfg.parallelism, len(work))) as pool:
             rows = list(pool.map(_sweep_one, work))
     else:
         rows = [_sweep_one(item) for item in work]

@@ -26,10 +26,11 @@ its own answer too, so its deletion test runs once per cover.  Calls
 with ``stats`` always search.  Nothing is kept across covers, so
 ``revalidate_row``, which decodes a fresh cover from its text, and
 ``certificate_is_valid``, which rebuilds one with ``Cover.from_slots``,
-decide it again.  The deletion test of ``is_critical`` shares
-its searches: a coloring of G - u also settles every w that is the
-one neighbor conflicting with some color of u, and settles the whole
-test when some color of u conflicts with no neighbor.
+decide it again.  ``is_critical`` is the one home of the deletion
+test, the box search's included, and it shares its searches: a
+coloring of G - u also settles every w that is the one neighbor
+conflicting with some color of u, and settles the whole test when some
+color of u conflicts with no neighbor.
 
 Deciding every cover of a graph (``first_critical_cover``, ``chi_dp``)
 is a box search over the per-edge options of ``cover_choices``.  A box
@@ -38,10 +39,11 @@ from them.  The search runs on the tables of the pairs that every
 option in an edge's domain shares.  Those pairs form a sub-cover of
 each cover in the box, and a coloring of a cover is a coloring of every
 sub-cover (Dvorak-Postle), so with no coloring every cover in the box
-is uncolorable; only then are its covers enumerated, for the deletion
-test.  A coloring phi colors every cover in which no edge matches
-(phi(u), phi(v)).  The rest of the box is split into disjoint boxes,
-one per edge whose domain holds such a matching, and searched in turn.
+is uncolorable; only then are its covers enumerated, each built as a
+``Cover`` that ``is_critical`` decides.  A coloring phi colors every
+cover in which no edge matches (phi(u), phi(v)).  The rest of the box
+is split into disjoint boxes, one per edge whose domain holds such a
+matching, and searched in turn.
 
 Which phi is found decides how many boxes follow, so each box is first
 searched on its union tables.  There an edge whose options together
@@ -216,21 +218,16 @@ def is_colorable(c: Cover, stats: Optional[SearchStats] = None) -> bool:
     return find_coloring(c, stats=stats) is not None
 
 
-def _survives_every_deletion(
-    conf: ConflictTables, sizes: Iterable[int], adj: Optional[Adjacency] = None
-) -> bool:
-    """Is the cover with these tables colorable after dropping any one vertex?
+def _survives_every_deletion(adj: Adjacency, sizes: Iterable[int]) -> bool:
+    """Is the cover with these neighbor lists colorable after dropping any one vertex?
 
-    One coloring psi of G - u settles more than u.  A color i of u that
-    no pick of psi conflicts with extends psi to the whole cover, which
-    settles every deletion.  A color i of u that conflicts with the pick
-    of one neighbor w alone gives, with psi, a coloring of G - w.
-
-    ``adj`` is the tables' neighbor lists (see ``_search``); they are
-    built once here when not given.
+    ``adj`` is a cover's neighbor lists (see ``_search``) and ``sizes``
+    its list sizes.  One coloring psi of G - u settles more than u.  A
+    color i of u that no pick of psi conflicts with extends psi to the
+    whole cover, which settles every deletion.  A color i of u that
+    conflicts with the pick of one neighbor w alone gives, with psi, a
+    coloring of G - w.
     """
-    if adj is None:
-        adj = [list(row.items()) for row in conf]
     full = [(1 << s) - 1 for s in sizes]
     n = len(full)
     stats = SearchStats()
@@ -256,9 +253,7 @@ def is_critical(c: Cover) -> bool:
     The answer is kept on the cover, so a cover is tested once.
     """
     if c._critical is None:
-        c._critical = not is_colorable(c) and _survives_every_deletion(
-            c.conflict_tables(), c.list_size, c._adj
-        )
+        c._critical = not is_colorable(c) and _survives_every_deletion(c._adj, c.list_size)
     return c._critical
 
 
@@ -296,8 +291,9 @@ class _BoxSearch:
 
     The instance counts the boxes it decides, the uncolorable ones among
     them, the spared ones, whose phi came from the union tables, and the
-    deletion tests it runs; ``stats`` adds up the nodes of the box
-    searches.
+    covers ``first_critical`` hands to ``is_critical`` (``deletion_tests``);
+    ``stats`` adds up the nodes of the box searches, and none of
+    ``is_critical``'s.
     """
 
     def __init__(self, g: SimpleGraph, k: int, regime: str):
@@ -449,31 +445,27 @@ class _BoxSearch:
         """The position, from 0, in cover order of the cover picking each one-bit domain."""
         return sum((dom.bit_length() - 1) * w for dom, w in zip(cover, self.weights))
 
-    def deletion_test(self, cover: Iterable[int]) -> bool:
-        """Does the cover picking each one-bit domain survive every deletion?
-
-        Only asked of covers in uncolorable boxes, which are uncolorable.
-        """
-        self.deletion_tests += 1
-        self.load(cover)
-        return _survives_every_deletion(self.conf, [self.k] * len(self.conf), self._conf_adj)
-
     def first_critical(self) -> tuple[int, Optional[Cover]]:
         """``first_critical_cover`` on these covers; the instance keeps its counters."""
-        best: Optional[tuple[int, ...]] = None
+        sizes = [self.k] * self.graph.n
+        witness: Optional[Cover] = None
         for box, phi in self:
             if phi is not None:
                 continue
             for cover in product(*[[1 << d for d in _bits(dom)] for dom in box]):
-                if best is not None and self.rank(cover) >= self.bound:
+                if witness is not None and self.rank(cover) >= self.bound:
                     break
-                if self.deletion_test(cover):
-                    best, self.bound = cover, self.rank(cover)
+                picked = {
+                    e: opts[dom.bit_length() - 1] for (e, opts), dom in zip(self.choices, cover)
+                }
+                c = Cover(self.graph, sizes, picked)
+                self.deletion_tests += 1
+                if is_critical(c):
+                    witness, self.bound = c, self.rank(cover)
                     break
-        if best is None:
+        if witness is None:
             return prod(len(options) for _, options in self.choices), None
-        picked = {e: options[dom.bit_length() - 1] for (e, options), dom in zip(self.choices, best)}
-        return self.bound + 1, Cover(self.graph, [self.k] * self.graph.n, picked)
+        return self.bound + 1, witness
 
 
 def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Optional[Cover]]:
@@ -483,9 +475,10 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
     cover; or the number of covers, the product of the edges' option
     counts, and None when none is critical.  A critical cover is
     uncolorable, so it lies in a box whose shared tables have no
-    coloring; only the covers of those boxes get the deletion test, each
-    box in cover order up to the least critical cover found so far.
-    That cover's rank bounds the box search from then on.
+    coloring.  Only the covers of those boxes are built as ``Cover``
+    objects and decided by ``is_critical``, each box in cover order up
+    to the least critical cover found so far; the cover returned is the
+    one that passed.  Its rank bounds the box search from then on.
     """
     return _BoxSearch(g, k, regime).first_critical()
 

@@ -500,11 +500,11 @@ def _canonical_pool():
     buckets: dict[tuple, list[nx.Graph]] = {}
 
     def add(G: nx.Graph) -> bool:
+        # each vertex's sorted neighbor degrees, as a sorted multiset
         key = (
             G.number_of_nodes(),
             G.number_of_edges(),
-            tuple(sorted(d for _, d in G.degree())),
-            nx.weisfeiler_lehman_graph_hash(G),
+            tuple(sorted(tuple(sorted(G.degree(w) for w in G[v])) for v in G)),
         )
         bucket = buckets.setdefault(key, [])
         for H in bucket:

@@ -115,7 +115,7 @@ def count_searches(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("name, cover", PLANTED, ids=[name for name, _ in PLANTED])
 def test_deletion_test_matches_the_oracles_on_the_planted_covers(name, cover):
     conf = cover.conflict_tables()
-    got = _survives_every_deletion(conf, cover.list_size)
+    got = _survives_every_deletion(cover._adj, cover.list_size)
     assert got == deletion_test_by_vertex(conf, cover.list_size)
     assert got == brute_force_survives_deletions(cover)
     assert got
@@ -126,7 +126,7 @@ def test_deletion_test_matches_the_oracles_on_random_covers():
     verdicts = set()
     for cover in covers:
         conf = cover.conflict_tables()
-        got = _survives_every_deletion(conf, cover.list_size)
+        got = _survives_every_deletion(cover._adj, cover.list_size)
         assert got == deletion_test_by_vertex(conf, cover.list_size)
         assert got == brute_force_survives_deletions(cover)
         verdicts.add((bool(brute_force_colorings(cover)), got))
@@ -139,7 +139,7 @@ def test_a_free_color_of_u_settles_every_deletion(monkeypatch):
     # leaves vertex 0 a color no neighbor's pick conflicts with
     straight, _ = make_c4_covers()
     calls = count_searches(monkeypatch)
-    assert _survives_every_deletion(straight.conflict_tables(), straight.list_size)
+    assert _survives_every_deletion(straight._adj, straight.list_size)
     # one search settles at most u and one neighbor per color of u, three
     # of the four vertices, so the fourth was settled by the free color
     assert calls[0] == 1
@@ -148,7 +148,7 @@ def test_a_free_color_of_u_settles_every_deletion(monkeypatch):
 @pytest.mark.parametrize("name, cover", PLANTED, ids=[name for name, _ in PLANTED])
 def test_planted_covers_take_at_most_three_deletion_searches(name, cover, monkeypatch):
     calls = count_searches(monkeypatch)
-    assert _survives_every_deletion(cover.conflict_tables(), cover.list_size)
+    assert _survives_every_deletion(cover._adj, cover.list_size)
     assert calls[0] <= 3
 
 
@@ -289,5 +289,5 @@ def test_a_cover_on_one_vertex():
     for size, colorable in ((0, False), (2, True)):
         c = Cover(g, [size])
         assert (find_coloring(c) is not None) == colorable
-        assert _survives_every_deletion(c.conflict_tables(), c.list_size)
+        assert _survives_every_deletion(c._adj, c.list_size)
         assert is_critical(c) == (not colorable)

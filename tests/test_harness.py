@@ -131,6 +131,33 @@ class TestVerifyDiracBound:
         strip = lambda r: dataclasses.replace(r, seconds=0.0)
         assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
+    @pytest.mark.parametrize("jobs, lines, want", [(64, 2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_pool_starts_at_most_one_worker_per_graph(self, jobs, lines, want, monkeypatch):
+        # a recorder in place of the pool: it keeps max_workers, starts no
+        # process and maps in this one
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        stream = [W4_G6, emit_graph6(k33()), emit_graph6(prism())][:lines]
+        rows = verify_dirac_bound(SweepConfig(k=3, parallelism=jobs), stream)
+        assert started == [want]
+        assert [r.graph6 for r in rows] == stream
+
     def test_parse_error_names_the_line(self):
         with pytest.raises(ValueError, match="line 2"):
             verify_dirac_bound(SweepConfig(k=3), [W4_G6, "C\x1f"])

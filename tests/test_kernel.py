@@ -18,6 +18,7 @@ from random import Random
 
 import pytest
 
+import dpcolor.solver
 from dpcolor import (
     Cover,
     PartialColoring,
@@ -422,9 +423,9 @@ def test_patched_tables_match_tables_built_from_scratch(regime, k):
     # each load must still give what building afresh gives, row for row
     # and in dict order, with the same live colors or None: on the boxes
     # the search decides, on each box it yields (cut down to the covers
-    # phi colors), and on the one-bit boxes of the deletion test
+    # phi colors), and on the one-bit boxes of each uncolorable box
     outcomes = Counter()
-    deletion_tests = 0
+    one_bit_loads = 0
     for g in box_graphs(9001 + k, k, regime):
         boxes = _BoxSearch(g, k, regime)
         load = boxes.load
@@ -446,9 +447,9 @@ def test_patched_tables_match_tables_built_from_scratch(regime, k):
                 live[:] = [0] * g.n
             if phi is None:
                 for cover in product(*(tuple(1 << d for d in _bits(dom)) for dom in box)):
-                    boxes.deletion_test(cover)
-        deletion_tests += boxes.deletion_tests
-    assert deletion_tests > 0
+                    boxes.load(cover)
+                    one_bit_loads += 1
+    assert one_bit_loads > 0
     # two permutations of [2] match all four pairs: no union tables at perfect k = 2
     assert outcomes[True] > 0
     assert (outcomes[False] > 0) == ((regime, k) != ("perfect", 2))
@@ -548,6 +549,28 @@ def test_criterion06_search_counters_are_pinned():
 )
 def test_search_counters_are_pinned(g, k, regime, want):
     assert search_counters(g, k, regime) == want
+
+
+@pytest.mark.parametrize(
+    "g, k", [(parse_graph6("F{cZG"), 3), (make_dirac(3, 1), 3)], ids=["F{cZG", "dirac-3-1"]
+)
+def test_deletion_tests_go_through_is_critical(g, k, monkeypatch):
+    # each cover of an uncolorable box is built once as a Cover and
+    # decided by is_critical; the last cover that passes is the witness
+    decided = []
+    test = dpcolor.solver.is_critical
+
+    def recorded(c):
+        verdict = test(c)
+        decided.append((c, verdict))
+        return verdict
+
+    monkeypatch.setattr(dpcolor.solver, "is_critical", recorded)
+    boxes = _BoxSearch(g, k, "perfect")
+    _, witness = boxes.first_critical()
+    assert len(decided) == boxes.deletion_tests > 0
+    passed = [c for c, verdict in decided if verdict]
+    assert witness is not None and passed[-1] is witness
 
 
 def test_union_tables_keep_the_criterion06_box_count_down():
