@@ -11,9 +11,11 @@ never ask which kind they hold.  The graph6 codec implements
 the short form of McKay's format (n <= 62): one header byte ``n + 63``
 followed by ceil(n(n-1)/2 / 6) payload bytes carrying the upper triangle
 of the adjacency matrix in column order, six bits per byte, each offset
-by 63; the payload is read as one int, and each set bit ORs its pair
-straight into the neighbor masks, through a table per n, with no edge
-list and no per-edge checks.
+by 63.  The decoder keeps a layout per n: for each payload position, a
+table from a byte to the adjacency bits it sets, every row in one int,
+filled the first time that byte is met there.  A line costs one lookup
+and one OR per byte and one shift per row, with no edge list and no
+per-edge checks; only a byte missing from its table is checked.
 Parse failures raise :class:`Graph6Error` naming the byte offset.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -276,11 +279,46 @@ def multigraph_from_json(data: object) -> MultiGraph:
 
 
 @cache
-def _graph6_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(u, 1 << v, v, 1 << u) for the pair uv each payload bit sets, last bit first."""
-    return tuple(
-        (u, 1 << v, v, 1 << u) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1)
-    )
+def _graph6_layout(n: int) -> list[dict[str, int]]:
+    """One table per payload position of an n-vertex line, empty until read.
+
+    Table pos - 1 maps a character met at byte offset pos to the
+    adjacency bits its six payload bits set: every row in one int, row u
+    at bit n * u, so pair uv sets bits n * u + v and n * v + u.  Only
+    ``_graph6_learn`` writes an entry, and only for a character it
+    accepts, so the tables grow to at most 64 entries each, and at most
+    63 layouts exist (n <= 62).
+    """
+    return [{} for _ in range((n * (n - 1) // 2 + 5) // 6)]
+
+
+def _graph6_learn(n: int, s: str) -> None:
+    """Enter every character of payload s missing from the layout of n, in order.
+
+    Raises :class:`Graph6Error` at the first byte no table may hold: a
+    byte outside the graph6 range, or padding bits set in the last one.
+    Nothing is entered for a refused byte.
+    """
+    nbits = n * (n - 1) // 2
+    for pos, (table, ch) in enumerate(zip(_graph6_layout(n), s), 1):
+        if ch in table:
+            continue
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"invalid payload byte {ord(ch)}", pos)
+        adj = 0
+        # bit b of the byte, from the top, is pair x of the column order
+        # (0,1), (0,2), (1,2), (0,3), ...; pairs past nbits are padding
+        for b in range(6):
+            if val >> 5 - b & 1:
+                x = 6 * (pos - 1) + b
+                if x >= nbits:
+                    # the padding, under six bits, lies in the last byte
+                    raise Graph6Error("nonzero padding bits", pos)
+                v = (1 + isqrt(1 + 8 * x)) // 2
+                u = x - v * (v - 1) // 2
+                adj |= 1 << n * u + v | 1 << n * v + u
+        table[ch] = adj
 
 
 def parse_graph6(text: str) -> SimpleGraph:
@@ -301,8 +339,7 @@ def parse_graph6(text: str) -> SimpleGraph:
     if not 63 <= first <= 125:
         raise Graph6Error(f"invalid header byte {first}", 0)
     n = first - 63
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(s) - 1 < nbytes:
         raise Graph6Error(
             f"payload too short: need {nbytes} bytes, got {len(s) - 1}", len(s)
@@ -311,26 +348,17 @@ def parse_graph6(text: str) -> SimpleGraph:
         raise Graph6Error(
             f"payload too long: need {nbytes} bytes, got {len(s) - 1}", 1 + nbytes
         )
-    payload = 0
-    for pos in range(1, len(s)):
-        val = ord(s[pos]) - 63
-        if not 0 <= val <= 63:
-            raise Graph6Error(f"invalid payload byte {ord(s[pos])}", pos)
-        payload = payload << 6 | val
-    pad = 6 * nbytes - nbits
-    if payload & ((1 << pad) - 1):
-        # the padding, under six bits, lies in the last byte
-        raise Graph6Error("nonzero padding bits", nbytes)
-    pairs = _graph6_pairs(n)
-    nbr = [0] * n
-    bits = payload >> pad
-    while bits:
-        low = bits & -bits
-        u, bit_v, v, bit_u = pairs[low.bit_length() - 1]
-        nbr[u] |= bit_v
-        nbr[v] |= bit_u
-        bits ^= low
-    return SimpleGraph._from_masks(n, nbr)
+    payload = s[1:]
+    adj = 0
+    try:
+        for table, ch in zip(_graph6_layout(n), payload):
+            adj |= table[ch]
+    except KeyError:
+        _graph6_learn(n, payload)
+        # the layout now holds every byte of the line
+        return parse_graph6(s)
+    row = (1 << n) - 1
+    return SimpleGraph._from_masks(n, [adj >> n * u & row for u in range(n)])
 
 
 def emit_graph6(g: SimpleGraph) -> str:

@@ -13,7 +13,7 @@ edge multiplicity whose underlying simple graph is a clique or a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional
 
 from .graphs import BaseGraph, SimpleGraph, _bits, block_decomposition, block_shape
@@ -130,43 +130,71 @@ def find_brick(
     each of its edges present with at least the brick multiplicity,
     which is subgraph containment; with it off, the vertex set must
     induce the brick exactly (no extra parallel copies, no extra
-    adjacent pairs).
+    adjacent pairs).  Vertex sets are tried in ``combinations`` order,
+    the clique shape before the cycle shape; a cycle is walked along
+    the pairs whose multiplicity qualifies, in ascending order, so the
+    first witness is the lexicographically least.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
+    present = g.simple()._nbr
+    qualifying: dict[int, list[int]] = {}
 
-    def pair_ok(u: int, v: int, t: int) -> bool:
-        mu = g.multiplicity(u, v)
-        return mu >= t if allow_submultiplicity else mu == t
-
-    def no_extra_pairs(vs: tuple[int, ...], wanted: set[tuple[int, int]]) -> bool:
-        for u, v in combinations(sorted(vs), 2):
-            if (u, v) not in wanted and g.multiplicity(u, v) != 0:
-                return False
-        return True
+    def pairs_for(t: int) -> list[int]:
+        # per vertex, the mask of the pairs a brick of multiplicity t may use
+        if t not in qualifying:
+            masks = [0] * g.n
+            for u, v, mu in g.pairs():
+                if mu >= t if allow_submultiplicity else mu == t:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+            qualifying[t] = masks
+        return qualifying[t]
 
     for r in range(2, g.n + 1):
+        # the pairs a clique brick on r vertices may use, and a cycle brick
+        clique = pairs_for(k // (r - 1)) if k % (r - 1) == 0 else None
+        ring = pairs_for(k // 2) if r >= 4 and k % 2 == 0 else None
+        if clique is None and ring is None:
+            continue
         for vs in combinations(range(g.n), r):
-            if k % (r - 1) == 0:
-                t = k // (r - 1)
-                pairs = {(u, v) for u, v in combinations(vs, 2)}
-                if all(pair_ok(u, v, t) for u, v in pairs) and (
-                    allow_submultiplicity or no_extra_pairs(vs, pairs)
-                ):
-                    return BrickWitness("clique", vs, t)
-            if r >= 4 and k % 2 == 0:
-                t = k // 2
-                first, rest = vs[0], vs[1:]
-                for order in permutations(rest):
-                    if order[0] > order[-1]:
-                        continue  # each cycle once, not its reflection
-                    cyc = (first,) + order
-                    ring = {
-                        tuple(sorted((cyc[i], cyc[(i + 1) % r])))
-                        for i in range(r)
-                    }
-                    if all(pair_ok(u, v, t) for u, v in ring) and (
-                        allow_submultiplicity or no_extra_pairs(vs, ring)
-                    ):
-                        return BrickWitness("cycle", cyc, t)
+            inside = sum(1 << v for v in vs)
+            # a clique has every pair of vs, so no pair of vs is extra
+            if clique is not None and all(clique[v] & inside == inside ^ 1 << v for v in vs):
+                return BrickWitness("clique", vs, k // (r - 1))
+            if ring is not None:
+                if allow_submultiplicity:
+                    fits = all((ring[v] & inside).bit_count() >= 2 for v in vs)
+                else:
+                    # every present pair of vs must be a ring pair
+                    fits = all(
+                        present[v] & inside == ring[v] & inside
+                        and (ring[v] & inside).bit_count() == 2
+                        for v in vs
+                    )
+                found = fits and _first_cycle(ring, inside, vs[0])
+                if found:
+                    return BrickWitness("cycle", found, k // 2)
     return None
+
+
+def _first_cycle(ring: list[int], inside: int, start: int) -> Optional[tuple[int, ...]]:
+    """The least cycle through every vertex of inside along the ring pairs, or None.
+
+    The cycle is read from start, its second vertex below its last (one
+    of each reflected pair), and is the least such sequence: a depth-first
+    walk tries neighbors in ascending order.
+    """
+    path = [start]
+
+    def extend(u: int, left: int) -> bool:
+        if not left:
+            return ring[u] >> start & 1 == 1 and path[1] < u
+        for w in _bits(ring[u] & left):
+            path.append(w)
+            if extend(w, left ^ 1 << w):
+                return True
+            path.pop()
+        return False
+
+    return tuple(path) if extend(start, inside ^ 1 << start) else None

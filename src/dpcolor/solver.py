@@ -21,7 +21,8 @@ depth.
 
 A cover is decided once: ``find_coloring(c)`` with no target and no
 seed keeps its answer on the cover, and later calls without ``stats``
-(``is_colorable``, ``is_critical``) return it; ``is_critical`` keeps
+(``is_colorable``, ``is_critical``) return it, as they return the
+verdict a box search hands each cover it builds; ``is_critical`` keeps
 its own answer too, so its deletion test runs once per cover.  Calls
 with ``stats`` always search.  Nothing is kept across covers, so
 ``revalidate_row``, which decodes a fresh cover from its text, and
@@ -40,7 +41,8 @@ option in an edge's domain shares.  Those pairs form a sub-cover of
 each cover in the box, and a coloring of a cover is a coloring of every
 sub-cover (Dvorak-Postle), so with no coloring every cover in the box
 is uncolorable; only then are its covers enumerated, each built as a
-``Cover`` that ``is_critical`` decides.  A coloring phi colors every
+``Cover`` that carries that verdict as its whole-cover answer, so
+``is_critical`` runs only its deletion test.  A coloring phi colors every
 cover in which no edge matches (phi(u), phi(v)).  The rest of the box
 is split into disjoint boxes, one per edge whose domain holds such a
 matching, and searched in turn.
@@ -57,6 +59,9 @@ tables.  Before the union search, a color whose union row toward some
 neighbor is full is dropped, and a box where a vertex has no color left
 skips it.  Both table sets of a box come from one load, which patches
 them together on the edges whose domain changed since the last box.
+Only an edge with more than one option can change, or hold a killer,
+so the load and the split walk those edges alone: in the perfect
+regime, the edges off the pinned spanning tree.
 """
 
 from __future__ import annotations
@@ -286,8 +291,12 @@ class _BoxSearch:
     fills both table sets in one pass over a box, keeping one list of
     the domain each edge holds in them: a new box rewrites both sets
     only on the edges whose domain changed, usually one or two, and
-    recomputes live colors only at their ends.  The first box loads
-    every edge in edge order, so the dicts iterate in edge order.
+    recomputes live colors only at their ends.  The instance writes
+    every edge's rows once, in edge order, when it is built, so the
+    dicts iterate in edge order; after that ``load`` and the split walk
+    only the edges with more than one option, since an edge with one
+    option keeps its one domain and holds no killer.  Boxes keep an
+    entry for every edge.
 
     The instance counts the boxes it decides, the uncolorable ones among
     them, the spared ones, whose phi came from the union tables, and the
@@ -323,7 +332,7 @@ class _BoxSearch:
             self.holds.append(masks)
             self._kind.append(kind)
         # the shared and the union table sets, the domain each edge holds in
-        # both, and the rows it was loaded with (filled for every edge by the first load)
+        # both, and the rows it was loaded with
         m = len(self.choices)
         self.conf: ConflictTables = [{} for _ in range(g.n)]
         self.union: ConflictTables = [{} for _ in range(g.n)]
@@ -337,30 +346,41 @@ class _BoxSearch:
         self._live = [(1 << k) - 1] * g.n
         # incident[w]: (p, 2) for each edge p = (w, v), (p, 3) for each p = (u, w)
         self._incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for p, ((u, v), _) in enumerate(self.choices):
+        ends = [(p, u, v) for p, ((u, v), _) in enumerate(self.choices)]
+        for p, u, v in ends:
             self._incident[u].append((p, 2))
             self._incident[v].append((p, 3))
+        # the edges with more than one option: no other edge's domain ever
+        # changes, and no other edge holds a killer
+        self._free = [(p, u, v) for p, u, v in ends if len(self.choices[p][1]) > 1]
+        # every edge's rows once, in edge order, so the dicts iterate in edge order
+        self._patch([(1 << len(options)) - 1 for _, options in self.choices], ends)
 
-    def load(self, box: Iterable[int]) -> Optional[list[int]]:
+    def load(self, box: list[int]) -> Optional[list[int]]:
         """Load a box into ``conf``, its shared tables, and ``union``, its union tables.
 
         The shared tables hold the pairs each edge's whole domain shares.
         In the union tables an edge that can be spared gets the pairs some
         option in its domain matches, and the others keep their shared
         pairs.  Both are patched in place on the edges whose domain changed
-        since the last load.  Returns each vertex's live colors in the
-        union tables, a fresh list the search may consume: a color of u is
-        live unless a union row rules out every color of a neighbor with
-        it.  None when no edge can be spared, or when some vertex has no
-        live color, so that the union tables have no coloring.
+        since the last load; only an edge with more than one option can
+        change.  Returns each vertex's live colors in the union tables, a
+        fresh list the search may consume: a color of u is live unless a
+        union row rules out every color of a neighbor with it.  None when
+        no edge can be spared, or when some vertex has no live color, so
+        that the union tables have no coloring.
         """
+        return self._patch(box, self._free)
+
+    def _patch(self, box: list[int], edges: Iterable[tuple[int, int, int]]) -> Optional[list[int]]:
+        """``load``, looking only at the edges (p, u, v) given."""
         conf, union, held, loaded = self.conf, self.union, self._held, self._loaded
         moved = 0
-        for p, dom in enumerate(box):
+        for p, u, v in edges:
+            dom = box[p]
             if held[p] != dom:
                 held[p] = dom
                 loaded[p] = shared, spare, _, _ = self._edge_rows(p, dom)
-                (u, v), _ = self.choices[p]
                 conf[u][v], conf[v][u] = shared
                 union[u][v], union[v][u] = spare or shared
                 self._spare = self._spare & ~(1 << p) | (spare is not None) << p
@@ -430,7 +450,7 @@ class _BoxSearch:
                 yield box, None
                 continue
             children = []
-            for p, ((u, v), _) in enumerate(self.choices):
+            for p, u, v in self._free:
                 kill = box[p] & self.holds[p][phi[u] * k + phi[v]]
                 if kill:
                     child = list(box)
@@ -459,6 +479,8 @@ class _BoxSearch:
                     e: opts[dom.bit_length() - 1] for (e, opts), dom in zip(self.choices, cover)
                 }
                 c = Cover(self.graph, sizes, picked)
+                # the box's shared tables are a sub-cover of c with no coloring
+                c._whole = (None,)
                 self.deletion_tests += 1
                 if is_critical(c):
                     witness, self.bound = c, self.rank(cover)
@@ -476,9 +498,11 @@ def first_critical_cover(g: SimpleGraph, k: int, regime: str) -> tuple[int, Opti
     counts, and None when none is critical.  A critical cover is
     uncolorable, so it lies in a box whose shared tables have no
     coloring.  Only the covers of those boxes are built as ``Cover``
-    objects and decided by ``is_critical``, each box in cover order up
-    to the least critical cover found so far; the cover returned is the
-    one that passed.  Its rank bounds the box search from then on.
+    objects, each carrying the box's verdict, and decided by
+    ``is_critical``, which then runs only its deletion test; each box is
+    visited in cover order up to the least critical cover found so far,
+    and the cover returned is the one that passed.  Its rank bounds the
+    box search from then on.
     """
     return _BoxSearch(g, k, regime).first_critical()
 

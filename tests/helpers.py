@@ -7,21 +7,25 @@ cover walk and the deletion test with one search per vertex, which
 share the package's search but decide covers the way the package did
 before its box search and its shared deletion test; their own tests
 check them against brute force.  The package's earlier search over
-dict tables, and its earlier block shape and structure check on
-induced subgraphs, are kept here too, as the oracles of the versions
+dict tables, its earlier block shape and structure check on induced
+subgraphs, its bit-by-bit graph6 decoder and its brick search over
+every permutation are kept here too, as the oracles of the versions
 that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
 from random import Random
 from typing import Iterable, Iterator, Optional
 
 import networkx as nx
 
 from dpcolor import (
+    BrickWitness,
     Cover,
+    Graph6Error,
     MultiGraph,
     PartialColoring,
     SearchStats,
@@ -775,3 +779,78 @@ def reference_verify_critical_structure(c: Cover) -> CriticalStructureReport:
         components=tuple(checks),
         ok=min_degree >= k and (structure_ok or not in_scope),
     )
+
+
+def reference_parse_graph6(text: str) -> SimpleGraph:
+    """``parse_graph6`` as it was: the payload read as one int, decoded bit by bit."""
+    s = text.strip(string.whitespace)
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    first = ord(s[0])
+    if first == 126:
+        raise Graph6Error("long-form graph6 (n > 62) not supported", 0)
+    if not 63 <= first <= 125:
+        raise Graph6Error(f"invalid header byte {first}", 0)
+    n = first - 63
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(s) - 1 < nbytes:
+        raise Graph6Error(f"payload too short: need {nbytes} bytes, got {len(s) - 1}", len(s))
+    if len(s) - 1 > nbytes:
+        raise Graph6Error(f"payload too long: need {nbytes} bytes, got {len(s) - 1}", 1 + nbytes)
+    payload = 0
+    for pos in range(1, len(s)):
+        val = ord(s[pos]) - 63
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"invalid payload byte {ord(s[pos])}", pos)
+        payload = payload << 6 | val
+    pad = 6 * nbytes - nbits
+    if payload & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", nbytes)
+    # the last payload bit is the pair (n - 2, n - 1), the first (0, 1)
+    pairs = [(u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1)]
+    bits = payload >> pad
+    return SimpleGraph(n, [pair for x, pair in enumerate(pairs) if bits >> x & 1])
+
+
+def reference_find_brick(
+    g: BaseGraph, k: int, allow_submultiplicity: bool = True
+) -> Optional[BrickWitness]:
+    """``find_brick`` as it was: every permutation of each vertex set for the cycle shape."""
+    if k < 3:
+        raise ValueError(f"k must be at least 3, got {k}")
+
+    def pair_ok(u: int, v: int, t: int) -> bool:
+        mu = g.multiplicity(u, v)
+        return mu >= t if allow_submultiplicity else mu == t
+
+    def no_extra_pairs(vs: tuple[int, ...], wanted: set[tuple[int, int]]) -> bool:
+        for u, v in itertools.combinations(sorted(vs), 2):
+            if (u, v) not in wanted and g.multiplicity(u, v) != 0:
+                return False
+        return True
+
+    for r in range(2, g.n + 1):
+        for vs in itertools.combinations(range(g.n), r):
+            if k % (r - 1) == 0:
+                t = k // (r - 1)
+                pairs = set(itertools.combinations(vs, 2))
+                if all(pair_ok(u, v, t) for u, v in pairs) and (
+                    allow_submultiplicity or no_extra_pairs(vs, pairs)
+                ):
+                    return BrickWitness("clique", vs, t)
+            if r >= 4 and k % 2 == 0:
+                t = k // 2
+                first, rest = vs[0], vs[1:]
+                for order in itertools.permutations(rest):
+                    if order[0] > order[-1]:
+                        continue  # each cycle once, not its reflection
+                    cyc = (first,) + order
+                    ring = {tuple(sorted((cyc[i], cyc[(i + 1) % r]))) for i in range(r)}
+                    if all(pair_ok(u, v, t) for u, v in ring) and (
+                        allow_submultiplicity or no_extra_pairs(vs, ring)
+                    ):
+                        return BrickWitness("cycle", cyc, t)
+    return None

@@ -17,7 +17,7 @@ from dpcolor import (
     emit_graph6,
     parse_graph6,
 )
-from dpcolor.graphs import block_shape
+from dpcolor.graphs import _graph6_layout, block_shape
 from dpcolor.construct import make_dirac, make_wheel
 
 from helpers import (
@@ -31,8 +31,23 @@ from helpers import (
     nx_graph6,
     random_connected_graph,
     reference_block_shape,
+    reference_parse_graph6,
     to_nx,
 )
+
+
+def random_graph(rng: Random, n: int) -> SimpleGraph:
+    """A graph on n vertices, each pair an edge with one random probability."""
+    p = rng.random()
+    return SimpleGraph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def graph6_outcome(parse, text: str):
+    """What a decoder makes of a line: its neighbor masks, or its error text and offset."""
+    try:
+        return parse(text)._nbr
+    except Graph6Error as e:
+        return str(e), e.offset
 
 
 class TestSimpleGraph:
@@ -226,6 +241,53 @@ class TestGraph6:
         with pytest.raises(Graph6Error) as e:
             parse_graph6("D>" + chr(63 + 0b000001))
         assert e.value.offset == 1
+
+    def test_matches_the_bit_by_bit_decoder(self):
+        # every n of the short form, the edgeless and the complete graph
+        # too, read twice so the second read finds every byte in its table
+        rng = Random(8190)
+        for n in range(63):
+            graphs = [SimpleGraph(n), SimpleGraph(n, itertools.combinations(range(n), 2))]
+            graphs += [random_graph(rng, n) for _ in range(6)]
+            for g in graphs + graphs:
+                s = emit_graph6(g)
+                parsed = parse_graph6(s)
+                assert parsed == reference_parse_graph6(s) == g
+                assert (parsed.m, parsed.degrees()) == (g.m, g.degrees())
+
+    def test_every_error_path_matches_the_bit_by_bit_decoder(self):
+        # a bad byte at each position, nonzero padding in the last byte,
+        # each line read twice; a valid line of the same n read after a
+        # refusal still decodes, and the refused byte is never entered
+        rng = Random(6202)
+        bad_bytes = ["\x00", " ", ">", "\x7f", "\x85", "\u0100"]
+        for n in list(range(2, 16)) + [31, 62]:
+            good = {}
+            for _ in range(3):
+                g = random_graph(rng, n)
+                good[emit_graph6(g)] = g
+            nbytes = len(next(iter(good))) - 1
+            lines = []
+            for pos in range(1, nbytes + 1):
+                # every bad byte at each position of the small n, one at the large
+                for bad in bad_bytes if n < 16 else [bad_bytes[pos % len(bad_bytes)]]:
+                    if bad == " " and pos == nbytes:
+                        continue  # trailing whitespace is trimmed, not payload
+                    base = rng.choice(list(good))
+                    lines.append(base[:pos] + bad + base[pos + 1 :])
+            pad = 6 * nbytes - n * (n - 1) // 2
+            for bits in range(1, 1 << pad):
+                base = rng.choice(list(good))
+                last = chr((ord(base[-1]) - 63 | bits) + 63)
+                lines.append(base[:-1] + last)
+            for line in lines + lines:
+                refused = graph6_outcome(parse_graph6, line)
+                assert refused == graph6_outcome(reference_parse_graph6, line)
+                assert isinstance(refused[0], str), line
+                offset = refused[1]
+                assert line[offset] not in _graph6_layout(n)[offset - 1]
+                s = rng.choice(list(good))
+                assert parse_graph6(s) == good[s]
 
     def test_emit_rejects_oversized(self):
         with pytest.raises(ValueError):

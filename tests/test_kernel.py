@@ -503,11 +503,16 @@ def test_union_rows_stand_in_for_shared_rows_only_on_edges_that_can_be_spared():
     assert boxes.load([(1 << len(opts)) - 1 for _, opts in boxes.choices]) is None
 
 
+def box_counters(boxes: _BoxSearch) -> tuple[int, ...]:
+    """(boxes, uncolorable, spared, nodes, deletion_tests) of a box search."""
+    return boxes.boxes, boxes.uncolorable, boxes.spared, boxes.stats.nodes_expanded, boxes.deletion_tests
+
+
 def search_counters(g: SimpleGraph, k: int, regime: str) -> tuple[int, ...]:
-    """(boxes, uncolorable, spared, nodes, deletion_tests) of one ``first_critical`` run."""
+    """The counters of one ``first_critical`` run."""
     boxes = _BoxSearch(g, k, regime)
     boxes.first_critical()
-    return boxes.boxes, boxes.uncolorable, boxes.spared, boxes.stats.nodes_expanded, boxes.deletion_tests
+    return box_counters(boxes)
 
 
 # the counters of the 11 frozen criterion-06 candidates, in stream order;
@@ -535,20 +540,45 @@ def test_criterion06_search_counters_are_pinned():
     )
 
 
+SEARCH_COUNTERS = {
+    # the k-Dirac graph that --include-dirac adds to the stream
+    "F{cZG": (parse_graph6("F{cZG"), 3, "perfect", (21, 1, 12, 384, 1)),
+    "dirac-4-1": (make_dirac(4, 1), 4, "perfect", (5865, 1, 2971, 98450, 1)),
+    "dirac-4-2": (make_dirac(4, 2), 4, "perfect", (708, 1, 323, 21034, 1)),
+    # W4, 34**8 covers
+    "W4-partial": (parse_graph6("Dl{"), 3, "partial", (22391, 0, 6071, 351648, 0)),
+}
+
+
 @pytest.mark.parametrize(
-    "g, k, regime, want",
-    [
-        # the k-Dirac graph that --include-dirac adds to the stream
-        (parse_graph6("F{cZG"), 3, "perfect", (21, 1, 12, 384, 1)),
-        (make_dirac(4, 1), 4, "perfect", (5865, 1, 2971, 98450, 1)),
-        (make_dirac(4, 2), 4, "perfect", (708, 1, 323, 21034, 1)),
-        # W4, 34**8 covers
-        (parse_graph6("Dl{"), 3, "partial", (22391, 0, 6071, 351648, 0)),
-    ],
-    ids=["F{cZG", "dirac-4-1", "dirac-4-2", "W4-partial"],
+    "g, k, regime, want", list(SEARCH_COUNTERS.values()), ids=list(SEARCH_COUNTERS)
 )
 def test_search_counters_are_pinned(g, k, regime, want):
     assert search_counters(g, k, regime) == want
+
+
+@pytest.mark.parametrize("name", ["F{cZG", "dirac-4-1", "dirac-4-2"])
+def test_witness_path_makes_no_whole_cover_search(name, monkeypatch):
+    # each cover of an uncolorable box comes with the box's verdict, so
+    # is_critical runs only the deletion test: every search is a box
+    # search or leaves one vertex out
+    g, k, regime, want = SEARCH_COUNTERS[name]
+    whole = []
+    search = dpcolor.solver._search
+
+    def counted(adj, avail, todo, stats):
+        todo = list(todo)
+        if len(todo) == g.n and adj is not boxes._conf_adj and adj is not boxes._union_adj:
+            whole.append(todo)
+        return search(adj, avail, todo, stats)
+
+    monkeypatch.setattr(dpcolor.solver, "_search", counted)
+    boxes = _BoxSearch(g, k, regime)
+    examined, witness = boxes.first_critical()
+    assert whole == []
+    assert box_counters(boxes) == want
+    # the witness and its rank are those of deciding every cover from scratch
+    assert (examined, witness) == reference_first_critical(g, k, regime)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Structural classes: Gallai/GDP forests, deficiency, Dirac graphs, bricks."""
 
+import time
 from itertools import combinations
 from random import Random
 
@@ -27,6 +28,7 @@ from helpers import (
     nx_is_gallai_forest,
     nx_is_gdp_forest,
     reference_is_gallai_forest,
+    reference_find_brick,
     reference_is_gdp_forest,
     to_nx,
 )
@@ -284,3 +286,42 @@ class TestFindBrick:
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
             find_brick(MultiGraph(2, [(0, 1, 1)]), 2)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["contained", "exact"])
+    def test_matches_the_permutation_search(self, exact):
+        # the first witness, shape and vertex order included, is the one
+        # the search over every permutation finds
+        rng = Random(3306 + exact)
+        found = {3: set(), 4: set(), 6: set()}
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            mults = rng.choice([[0, 0, 1, 2, 3, 4], [0, 2, 2, 3, 3], [0, 0, 0, 0, 1, 2, 3]])
+            mult = {e: rng.choice(mults) for e in combinations(range(n), 2)}
+            if n >= 4 and rng.random() < 0.5:
+                # plant a cycle of uniform multiplicity over the noise
+                ring = rng.sample(range(n), rng.randint(4, n))
+                t = rng.choice([2, 3])
+                for u, v in zip(ring, ring[1:] + ring[:1]):
+                    mult[min(u, v), max(u, v)] = t
+            g = MultiGraph(n, [(u, v, t) for (u, v), t in mult.items() if t])
+            for k in found:
+                w = find_brick(g, k, allow_submultiplicity=not exact)
+                assert w == reference_find_brick(g, k, allow_submultiplicity=not exact)
+                if w is not None:
+                    found[k].add(w.shape)
+        # every shape the degree allows turns up
+        assert found == {3: {"clique"}, 4: {"clique", "cycle"}, 6: {"clique", "cycle"}}
+
+    def test_simple_graphs_match_the_permutation_search(self):
+        for g in [g for g in atlas_graphs() if g.n <= 6][::2]:
+            for k in (3, 4):
+                for exact in (False, True):
+                    assert find_brick(g, k, not exact) == reference_find_brick(g, k, not exact)
+
+    def test_edgeless_graphs_are_decided_fast(self):
+        # the permutation search took 34 s on the first and minutes on the second
+        start = time.perf_counter()
+        assert find_brick(SimpleGraph(11), 6) is None
+        assert find_brick(MultiGraph(12, []), 100) is None
+        assert find_brick(MultiGraph(12, []), 100, allow_submultiplicity=False) is None
+        assert time.perf_counter() - start < 1.0
