@@ -67,19 +67,6 @@ _SlotRows = tuple[list[int], list[int]]
 _Given = dict[tuple[int, int], list[Optional[_SlotRows]]]
 
 
-def conflict_rows(
-    slots: Iterable[Matching], size_u: int, size_v: int
-) -> tuple[list[int], list[int]]:
-    """Rows of conf[u][v] and conf[v][u] for the union of the given matchings."""
-    fwd = [0] * size_u
-    bwd = [0] * size_v
-    for slot in slots:
-        for i, j in slot:
-            fwd[i] |= 1 << j
-            bwd[j] |= 1 << i
-    return fwd, bwd
-
-
 def _checked_slot(
     pairs: Iterable, e: tuple[int, int], s: int, count: int, sizes: Sequence[int], flip: bool
 ) -> _SlotRows:

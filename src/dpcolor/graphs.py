@@ -387,70 +387,63 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
-    """Hopcroft-Tarjan block decomposition, iterative.
+    """Hopcroft-Tarjan block decomposition, one iterative walk over the masks.
 
     Every edge lies in exactly one block; an isolated vertex forms a
     singleton block.  Blocks are reported sorted by their vertex tuples.
+    The walk takes each vertex's untried neighbors from a mask and keeps
+    a stack of the vertices entered and in no block yet: when child u of
+    p finishes with ``low[u] >= disc[p]``, p, u and the vertices above u
+    form a block.  The cut vertices are the vertices in two blocks or more.
     """
-    n = g.n
     nbr = g._nbr
-    disc = [-1] * n
-    low = [0] * n
-    edge_stack: list[tuple[int, int]] = []
+    left = list(nbr)
+    disc = [-1] * g.n
+    low = [0] * g.n
+    entered: list[int] = []
     blocks: list[frozenset[int]] = []
-    cuts: set[int] = set()
-
-    for root in range(n):
+    timer = 0
+    for root in range(g.n):
         if disc[root] != -1:
             continue
-        if g.degree(root) == 0:
+        if not nbr[root]:
             blocks.append(frozenset((root,)))
             continue
-        timer = 0
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
-        # stack entries: (vertex, parent, iterator over neighbors)
-        stack = [(root, -1, iter(_bits(nbr[root])))]
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for w in it:
+        path = [root]
+        while path:
+            u = path[-1]
+            rest = left[u]
+            if rest:
+                w = (rest & -rest).bit_length() - 1
+                left[u] = rest & (rest - 1)
                 if disc[w] == -1:
-                    edge_stack.append((u, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    if u == root:
-                        root_children += 1
-                    stack.append((w, u, iter(_bits(nbr[w]))))
-                    advanced = True
-                    break
-                elif w != parent and disc[w] < disc[u]:
-                    edge_stack.append((u, w))
-                    low[u] = min(low[u], disc[w])
-            if advanced:
+                    path.append(w)
+                    entered.append(w)
+                elif disc[w] < low[u]:
+                    # a back edge, or the edge to u's parent: only a bridge test needs it left out
+                    low[u] = disc[w]
                 continue
-            stack.pop()
-            if stack:
-                pu = stack[-1][0]
-                low[pu] = min(low[pu], low[u])
-                if low[u] >= disc[pu]:
-                    # (pu, u) and the edges above it, all pushed from u's
-                    # subtree, form one block
-                    block_vertices: set[int] = set()
-                    while True:
-                        a, b = edge_stack.pop()
-                        block_vertices.add(a)
-                        block_vertices.add(b)
-                        if (a, b) == (pu, u):
-                            break
-                    blocks.append(frozenset(block_vertices))
-                    if pu != root:
-                        cuts.add(pu)
-        if root_children >= 2:
-            cuts.add(root)
+            path.pop()
+            if path:
+                p = path[-1]
+                if low[u] >= disc[p]:
+                    block = [p]
+                    while block[-1] != u:
+                        block.append(entered.pop())
+                    blocks.append(frozenset(block))
+                elif low[u] < low[p]:
+                    low[p] = low[u]
 
     blocks.sort(key=lambda b: tuple(sorted(b)))
+    seen: set[int] = set()
+    cuts: set[int] = set()
+    for b in blocks:
+        cuts |= seen & b
+        seen |= b
     return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
 

@@ -130,10 +130,11 @@ def find_brick(
     each of its edges present with at least the brick multiplicity,
     which is subgraph containment; with it off, the vertex set must
     induce the brick exactly (no extra parallel copies, no extra
-    adjacent pairs).  Vertex sets are tried in ``combinations`` order,
-    the clique shape before the cycle shape; a cycle is walked along
-    the pairs whose multiplicity qualifies, in ascending order, so the
-    first witness is the lexicographically least.
+    adjacent pairs).  Vertex sets are drawn from the vertices with
+    enough qualifying pairs for a brick of their size and tried in
+    ``combinations`` order, the clique shape before the cycle shape; a
+    cycle is walked along the pairs whose multiplicity qualifies, in
+    ascending order, so the first witness is the lexicographically least.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
@@ -155,9 +156,14 @@ def find_brick(
         # the pairs a clique brick on r vertices may use, and a cycle brick
         clique = pairs_for(k // (r - 1)) if k % (r - 1) == 0 else None
         ring = pairs_for(k // 2) if r >= 4 and k % 2 == 0 else None
-        if clique is None and ring is None:
-            continue
-        for vs in combinations(range(g.n), r):
+        # a vertex of a brick has r - 1 clique pairs or 2 ring pairs
+        pool = [
+            v
+            for v in range(g.n)
+            if (clique is not None and clique[v].bit_count() >= r - 1)
+            or (ring is not None and ring[v].bit_count() >= 2)
+        ]
+        for vs in combinations(pool, r):
             inside = sum(1 << v for v in vs)
             # a clique has every pair of vs, so no pair of vs is extra
             if clique is not None and all(clique[v] & inside == inside ^ 1 << v for v in vs):

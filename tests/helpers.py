@@ -34,7 +34,7 @@ from dpcolor import (
     cover_choices,
     residual_list,
 )
-from dpcolor.covers import ConflictTables, EdgeChoices, Matching, conflict_rows
+from dpcolor.covers import ConflictTables, EdgeChoices, Matching
 from dpcolor.graphs import BaseGraph, block_decomposition, emit_graph6
 from dpcolor.harness import ComponentCheck, CriticalStructureReport
 from dpcolor.solver import _search, is_critical
@@ -158,6 +158,19 @@ def brute_force_k_colorable(g: SimpleGraph, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # the pair-tuple cover: the reference for the rows a Cover stores
+
+
+def conflict_rows(
+    slots: Iterable[Matching], size_u: int, size_v: int
+) -> tuple[list[int], list[int]]:
+    """Rows of conf[u][v] and conf[v][u] for the union of the given matchings."""
+    fwd = [0] * size_u
+    bwd = [0] * size_v
+    for slot in slots:
+        for i, j in slot:
+            fwd[i] |= 1 << j
+            bwd[j] |= 1 << i
+    return fwd, bwd
 
 
 class ReferenceCover:

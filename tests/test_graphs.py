@@ -15,6 +15,7 @@ from dpcolor import (
     contains_clique,
     degree_profile,
     emit_graph6,
+    is_gdp_forest,
     parse_graph6,
 )
 from dpcolor.graphs import _graph6_layout, block_shape
@@ -349,6 +350,40 @@ class TestBlockDecomposition:
                 rest = [v for v in g.vertices if v != cut]
                 after = len(g.induced(rest).connected_components())
                 assert after > before
+
+    def test_against_networkx_with_components_and_isolated_vertices(self):
+        rng = Random(2031)
+        for _ in range(60):
+            n = rng.randint(1, 14)
+            order = list(range(n))
+            rng.shuffle(order)
+            # split the shuffled vertices into parts and draw edges inside each
+            edges = []
+            start = 0
+            while start < n:
+                part = order[start : start + rng.randint(1, 6)]
+                p = rng.random()
+                edges += [e for e in itertools.combinations(part, 2) if rng.random() < p]
+                start += len(part)
+            g = SimpleGraph(n, edges)
+            G = to_nx(g)
+            bd = block_decomposition(g)
+            nx_blocks = {frozenset(b) for b in nx.biconnected_components(G)}
+            nx_blocks |= {frozenset((v,)) for v in g.vertices if g.degree(v) == 0}
+            assert set(bd.blocks) == nx_blocks and len(bd.blocks) == len(nx_blocks)
+            assert list(bd.blocks) == sorted(bd.blocks, key=lambda b: tuple(sorted(b)))
+            assert bd.cut_vertices == frozenset(nx.articulation_points(G))
+
+    def test_long_path_and_cycle_need_no_recursion(self):
+        n = 3000
+        path = block_decomposition(SimpleGraph(n, [(i, i + 1) for i in range(n - 1)]))
+        assert path.blocks == tuple(frozenset((i, i + 1)) for i in range(n - 1))
+        assert path.cut_vertices == frozenset(range(1, n - 1))
+        cycle = SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        whole = block_decomposition(cycle)
+        assert whole.blocks == (frozenset(range(n)),)
+        assert whole.cut_vertices == frozenset()
+        assert is_gdp_forest(cycle)
 
 
 class TestBlockShape:

@@ -324,4 +324,15 @@ class TestFindBrick:
         assert find_brick(SimpleGraph(11), 6) is None
         assert find_brick(MultiGraph(12, []), 100) is None
         assert find_brick(MultiGraph(12, []), 100, allow_submultiplicity=False) is None
+        assert find_brick(MultiGraph(40, []), 100) is None
+        assert find_brick(MultiGraph(40, []), 100, allow_submultiplicity=False) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_vertices_without_enough_qualifying_pairs_are_never_drawn(self):
+        # a perfect matching of double pairs: at k = 6 no vertex has the pairs
+        # any brick needs, so none of the 2^40 vertex sets is tried
+        g = MultiGraph(40, [(v, v + 1, 2) for v in range(0, 40, 2)])
+        start = time.perf_counter()
+        assert find_brick(g, 6) is None
+        assert find_brick(g, 6, allow_submultiplicity=False) is None
         assert time.perf_counter() - start < 1.0
