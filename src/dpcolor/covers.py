@@ -474,7 +474,8 @@ def cover_choices(g: SimpleGraph, k: int, regime: str) -> EdgeChoices:
         return tuple((e, injections) for e in g.edges())
     tree = _spanning_tree_edges(g)
     identity: Matching = tuple((i, i) for i in range(k))
-    perms = tuple(tuple(enumerate(perm)) for perm in permutations(range(k)))
+    # a tree has every edge on the spanning tree, and needs no permutation
+    perms = tuple(tuple(enumerate(p)) for p in permutations(range(k))) if g.m >= g.n else ()
     return tuple((e, (identity,) if e in tree else perms) for e in g.edges())
 
 

@@ -2,8 +2,9 @@
 
 Vertices are always 0..n-1.  ``SimpleGraph`` stores one int neighbor
 bitmask per vertex and is hashable: degrees are popcounts, and
-connectivity, cliques and blocks are searches over masks; its sorted
-edge tuple is built on first use.  ``MultiGraph`` stores positive edge
+connectivity, cliques and blocks are searches over masks, with one
+clique search (``_first_clique``) for every caller; its sorted edge
+tuple is built on first use.  ``MultiGraph`` stores positive edge
 multiplicities keyed by sorted vertex pairs.  A simple graph also answers
 the multigraph calls (``pairs``, ``multiplicity``, ``simple``) as the
 multigraph whose multiplicities are all 1, so covers and structure checks
@@ -25,7 +26,7 @@ import string
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 class Graph6Error(ValueError):
@@ -492,24 +493,35 @@ def degree_profile(g: BaseGraph, k: int) -> DegreeProfile:
     )
 
 
+def _first_clique(nbr: Sequence[int], t: int) -> int:
+    """The mask of the first t-clique in ``combinations`` order, or 0 (t >= 1).
+
+    A branch and bound on its own stack over the vertices with t - 1
+    neighbors or more: each step adds the lowest candidate to the clique
+    and keeps its neighbors above it; a frame holds the clique as it was
+    before a pick and the candidates left beside the pick.
+    """
+    clique = 0
+    cands = sum(1 << u for u, x in enumerate(nbr) if x.bit_count() >= t - 1)
+    stack: list[tuple[int, int]] = []
+    while clique.bit_count() < t:
+        if clique.bit_count() + cands.bit_count() >= t:
+            low = cands & -cands
+            stack.append((clique, cands ^ low))
+            clique |= low
+            cands &= nbr[low.bit_length() - 1]
+        elif stack:
+            clique, cands = stack.pop()
+        else:
+            return 0
+    return clique
+
+
 def contains_clique(g: SimpleGraph, t: int) -> bool:
-    """Exact test for a clique on t vertices (branch and bound on neighbor masks)."""
+    """Exact test for a clique on t vertices (the branch and bound of ``_first_clique``)."""
     if t < 1:
         raise ValueError(f"clique size must be at least 1, got {t}")
-    nbr = g._nbr
-
-    def extend(size: int, cands: int) -> bool:
-        # size vertices picked, all adjacent to every vertex of cands
-        if size == t:
-            return True
-        while size + cands.bit_count() >= t:
-            low = cands & -cands
-            cands ^= low
-            if extend(size + 1, cands & nbr[low.bit_length() - 1]):
-                return True
-        return False
-
-    return extend(0, sum(1 << u for u, x in enumerate(nbr) if x.bit_count() >= t - 1))
+    return _first_clique(g._nbr, t) != 0
 
 
 def clique_number(g: SimpleGraph) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import BaseGraph, SimpleGraph, _bits, block_decomposition, block_shape
+from .graphs import BaseGraph, SimpleGraph, _bits, _first_clique, block_decomposition, block_shape
 
 
 def is_gallai_forest(g: SimpleGraph) -> bool:
@@ -130,11 +130,11 @@ def find_brick(
     each of its edges present with at least the brick multiplicity,
     which is subgraph containment; with it off, the vertex set must
     induce the brick exactly (no extra parallel copies, no extra
-    adjacent pairs).  Vertex sets are drawn from the vertices with
-    enough qualifying pairs for a brick of their size and tried in
-    ``combinations`` order, the clique shape before the cycle shape; a
-    cycle is walked along the pairs whose multiplicity qualifies, in
-    ascending order, so the first witness is the lexicographically least.
+    adjacent pairs).  For each size r, the clique brick is the first
+    r-clique of the qualifying pairs (``_first_clique``); a cycle is
+    sought only in the vertex sets listed before it, and walked along
+    the ring pairs in ascending order, so the first witness is the
+    lexicographically least (a set that is both is a clique).
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
@@ -156,19 +156,15 @@ def find_brick(
         # the pairs a clique brick on r vertices may use, and a cycle brick
         clique = pairs_for(k // (r - 1)) if k % (r - 1) == 0 else None
         ring = pairs_for(k // 2) if r >= 4 and k % 2 == 0 else None
-        # a vertex of a brick has r - 1 clique pairs or 2 ring pairs
-        pool = [
-            v
-            for v in range(g.n)
-            if (clique is not None and clique[v].bit_count() >= r - 1)
-            or (ring is not None and ring[v].bit_count() >= 2)
-        ]
-        for vs in combinations(pool, r):
-            inside = sum(1 << v for v in vs)
-            # a clique has every pair of vs, so no pair of vs is extra
-            if clique is not None and all(clique[v] & inside == inside ^ 1 << v for v in vs):
-                return BrickWitness("clique", vs, k // (r - 1))
-            if ring is not None:
+        # a clique of the clique pairs has every pair of its vertices, so none is extra
+        first = _bits(_first_clique(clique, r)) if clique is not None else ()
+        if ring is not None:
+            # a vertex of a cycle brick has 2 ring pairs; only sets before the clique count
+            pool = [v for v in range(g.n) if ring[v].bit_count() >= 2]
+            for vs in combinations(pool, r):
+                if first and vs >= first:
+                    break
+                inside = sum(1 << v for v in vs)
                 if allow_submultiplicity:
                     fits = all((ring[v] & inside).bit_count() >= 2 for v in vs)
                 else:
@@ -181,6 +177,8 @@ def find_brick(
                 found = fits and _first_cycle(ring, inside, vs[0])
                 if found:
                     return BrickWitness("cycle", found, k // 2)
+        if first:
+            return BrickWitness("clique", first, k // (r - 1))
     return None
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 from random import Random
 
 import pytest
@@ -491,6 +492,15 @@ class TestEnumerateCovers:
         covers = list(enumerate_covers(path, 3, "perfect"))
         assert len(covers) == 1
         assert is_colorable(covers[0])
+
+    def test_tree_builds_no_permutation(self):
+        # every edge of a tree is pinned, so the k! permutations are never
+        # built: 12! of them would not fit in memory
+        path = SimpleGraph(3, [(0, 1), (1, 2)])
+        start = time.perf_counter()
+        assert len(list(enumerate_covers(path, 12, "perfect"))) == 1
+        assert count_covers(path, 12, "perfect") == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_c5_perfect(self):
         c5 = SimpleGraph(5, [(i, (i + 1) % 5) for i in range(5)])

@@ -18,7 +18,7 @@ from dpcolor import (
     is_gdp_forest,
     parse_graph6,
 )
-from dpcolor.graphs import _graph6_layout, block_shape
+from dpcolor.graphs import _first_clique, _graph6_layout, block_shape
 from dpcolor.construct import make_dirac, make_wheel
 
 from helpers import (
@@ -446,6 +446,32 @@ class TestCliques:
                     for sub in itertools.combinations(range(n), t)
                 )
                 assert contains_clique(g, t) == expect
+
+    def test_first_clique_against_combinations(self):
+        # the first t-clique in combinations order, for every t up to n + 1
+        rng = Random(6113)
+        for _ in range(200):
+            n = rng.randint(0, 10)
+            p = rng.random()
+            g = SimpleGraph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            for t in range(1, n + 2):
+                first = next(
+                    (
+                        sub
+                        for sub in itertools.combinations(range(n), t)
+                        if all(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
+                    ),
+                    (),
+                )
+                assert _first_clique(g._nbr, t) == sum(1 << v for v in first)
+
+    def test_clique_deeper_than_the_recursion_limit(self):
+        # the search keeps its own stack, so a clique of 1,100 vertices is
+        # found; no vertex has 1,100 neighbors, so none of 1,101 is tried
+        n = 1100
+        g = SimpleGraph(n, itertools.combinations(range(n), 2))
+        assert contains_clique(g, n)
+        assert not contains_clique(g, n + 1)
 
     def test_clique_number_against_networkx(self):
         rng = Random(417)

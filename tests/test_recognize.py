@@ -336,3 +336,46 @@ class TestFindBrick:
         assert find_brick(g, 6) is None
         assert find_brick(g, 6, allow_submultiplicity=False) is None
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [26, 60])
+    def test_regular_graph_without_a_big_clique_is_decided_fast(self, n):
+        # C_n(1, 2, 3) is 6-regular with no K_7: the clique search grows
+        # cliques along common neighbors in place of the C(n, 7) vertex sets
+        g = SimpleGraph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2, 3)])
+        start = time.perf_counter()
+        assert find_brick(g, 6) is None
+        assert find_brick(g, 6, allow_submultiplicity=False) is None
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "pairs, contained, exact",
+        [
+            # a 4-cycle of triple pairs on 0-3 comes before a K4 of double pairs on 4-7
+            (
+                [(0, 1, 3), (1, 2, 3), (2, 3, 3), (0, 3, 3)]
+                + [(u, v, 2) for u, v in combinations(range(4, 8), 2)],
+                ("cycle", (0, 1, 2, 3), 3),
+                ("cycle", (0, 1, 2, 3), 3),
+            ),
+            # the same two pieces swapped: the clique comes first
+            (
+                [(u, v, 2) for u, v in combinations(range(4), 2)]
+                + [(4, 5, 3), (5, 6, 3), (6, 7, 3), (4, 7, 3)],
+                ("clique", (0, 1, 2, 3), 2),
+                ("clique", (0, 1, 2, 3), 2),
+            ),
+            # one 4-set that is both: the clique wins, and is not exact
+            (
+                [(0, 1, 3), (1, 2, 3), (2, 3, 3), (0, 3, 3), (0, 2, 2), (1, 3, 2)],
+                ("clique", (0, 1, 2, 3), 2),
+                None,
+            ),
+        ],
+        ids=["cycle-first", "clique-first", "both"],
+    )
+    def test_shape_order_on_one_size(self, pairs, contained, exact):
+        g = MultiGraph(8 if len(pairs) > 6 else 4, pairs)
+        for allow, expect in ((True, contained), (False, exact)):
+            w = find_brick(g, 6, allow_submultiplicity=allow)
+            assert w == reference_find_brick(g, 6, allow_submultiplicity=allow)
+            assert (w and (w.shape, w.vertices, w.multiplicity)) == expect
