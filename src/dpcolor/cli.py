@@ -81,6 +81,8 @@ def _cmd_recognize(args) -> int:
     brick = args.what == "brick"
     if args.what in ("dirac", "brick") and args.k is None:
         raise ValueError(f"recognize {args.what} requires --k")
+    if args.graph is not None and args.multigraph is not None:
+        raise ValueError("recognize takes --graph or --multigraph, not both")
     if brick and args.multigraph is not None:
         g = multigraph_from_json(json.loads(args.multigraph))
     elif args.graph is not None:
@@ -154,8 +156,16 @@ def _cmd_verify_structure(args) -> int:
     return 0 if report.ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with status 1 for a usage error: status 2 means a refutation."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpcolor",
         description="Exact DP-coloring toolkit: solve covers, decide criticality, "
         "recognize structure, and verify the sharp density bound at desk scale.",

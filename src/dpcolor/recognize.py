@@ -130,75 +130,75 @@ def find_brick(
     each of its edges present with at least the brick multiplicity,
     which is subgraph containment; with it off, the vertex set must
     induce the brick exactly (no extra parallel copies, no extra
-    adjacent pairs).  For each size r, the clique brick is the first
-    r-clique of the qualifying pairs (``_first_clique``); a cycle is
-    sought only in the vertex sets listed before it, and walked along
-    the ring pairs in ascending order, so the first witness is the
-    lexicographically least (a set that is both is a clique).
+    adjacent pairs).  For each size r, the first r-clique of the
+    qualifying pairs (``_first_clique``) and the least r-cycle of the ring
+    pairs (``_first_cycle``) are sought; the lexicographically least
+    sorted vertex set wins, and a set that is both is a clique.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
-    present = g.simple()._nbr
-    qualifying: dict[int, list[int]] = {}
 
     def pairs_for(t: int) -> list[int]:
         # per vertex, the mask of the pairs a brick of multiplicity t may use
-        if t not in qualifying:
-            masks = [0] * g.n
-            for u, v, mu in g.pairs():
-                if mu >= t if allow_submultiplicity else mu == t:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-            qualifying[t] = masks
-        return qualifying[t]
+        masks = [0] * g.n
+        for u, v, mu in g.pairs():
+            if mu >= t if allow_submultiplicity else mu == t:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        return masks
 
+    # a vertex of a cycle brick has 2 ring pairs, and odd k has no cycle brick
+    ring = pairs_for(k // 2)
+    pool = sum(1 << v for v in range(g.n) if ring[v].bit_count() >= 2) if k % 2 == 0 else 0
+    present = None if allow_submultiplicity else g.simple()._nbr
     for r in range(2, g.n + 1):
-        # the pairs a clique brick on r vertices may use, and a cycle brick
-        clique = pairs_for(k // (r - 1)) if k % (r - 1) == 0 else None
-        ring = pairs_for(k // 2) if r >= 4 and k % 2 == 0 else None
         # a clique of the clique pairs has every pair of its vertices, so none is extra
-        first = _bits(_first_clique(clique, r)) if clique is not None else ()
-        if ring is not None:
-            # a vertex of a cycle brick has 2 ring pairs; only sets before the clique count
-            pool = [v for v in range(g.n) if ring[v].bit_count() >= 2]
-            for vs in combinations(pool, r):
-                if first and vs >= first:
-                    break
-                inside = sum(1 << v for v in vs)
-                if allow_submultiplicity:
-                    fits = all((ring[v] & inside).bit_count() >= 2 for v in vs)
-                else:
-                    # every present pair of vs must be a ring pair
-                    fits = all(
-                        present[v] & inside == ring[v] & inside
-                        and (ring[v] & inside).bit_count() == 2
-                        for v in vs
-                    )
-                found = fits and _first_cycle(ring, inside, vs[0])
-                if found:
-                    return BrickWitness("cycle", found, k // 2)
-        if first:
-            return BrickWitness("clique", first, k // (r - 1))
+        clique = _bits(_first_clique(pairs_for(k // (r - 1)), r)) if k % (r - 1) == 0 else ()
+        cycle = _first_cycle(ring, pool, r, present) if r >= 4 else None
+        if cycle and (not clique or tuple(sorted(cycle)) < clique):
+            return BrickWitness("cycle", cycle, k // 2)
+        if clique:
+            return BrickWitness("clique", clique, k // (r - 1))
     return None
 
 
-def _first_cycle(ring: list[int], inside: int, start: int) -> Optional[tuple[int, ...]]:
-    """The least cycle through every vertex of inside along the ring pairs, or None.
+def _first_cycle(
+    ring: list[int], pool: int, r: int, present: Optional[list[int]]
+) -> Optional[tuple[int, ...]]:
+    """The least r-cycle along the ring pairs over the pool vertices, or None.
 
-    The cycle is read from start, its second vertex below its last (one
-    of each reflected pair), and is the least such sequence: a depth-first
-    walk tries neighbors in ascending order.
+    A cycle is read from its least vertex s, its second vertex below its
+    last.  For each s, ascending, a walk on its own stack grows paths from
+    s over the pool vertices above s, lowest first; a frame holds the
+    candidates left beside a pick.  The first s with a cycle gives its
+    least by (sorted vertices, traversal).  With ``present`` (exact mode)
+    a vertex joins a path only if its present pairs into the path reach
+    the path's end alone, and s too when it closes the cycle.
     """
-    path = [start]
-
-    def extend(u: int, left: int) -> bool:
-        if not left:
-            return ring[u] >> start & 1 == 1 and path[1] < u
-        for w in _bits(ring[u] & left):
-            path.append(w)
-            if extend(w, left ^ 1 << w):
-                return True
-            path.pop()
-        return False
-
-    return tuple(path) if extend(start, inside ^ 1 << start) else None
+    for s in _bits(pool):
+        above = pool >> s + 1 << s + 1
+        if above.bit_count() < r - 1:
+            break
+        found: list[tuple[int, ...]] = []
+        path, inside, stack = [s], 1 << s, [ring[s] & above]
+        while stack:
+            cands = stack[-1]
+            if not cands:
+                stack.pop()
+                inside ^= 1 << path.pop()
+                continue
+            low = cands & -cands
+            stack[-1] = cands ^ low
+            w = low.bit_length() - 1
+            closing = len(path) == r - 1
+            if present is not None and present[w] & inside != 1 << path[-1] | closing << s:
+                continue
+            if not closing:
+                path.append(w)
+                inside |= low
+                stack.append(ring[w] & above & ~inside)
+            elif ring[w] >> s & 1 and path[1] < w:
+                found.append((*path, w))
+        if found:
+            return min(found, key=lambda cycle: (sorted(cycle), cycle))
+    return None

@@ -208,6 +208,16 @@ class TestRecognize:
         assert main(["recognize", "--what", what, "--k", "3"]) == 1
         assert capsys.readouterr().err == f"error: recognize {what} requires --graph\n"
 
+    @pytest.mark.parametrize("what", ["brick", "gdp"])
+    def test_graph_beside_multigraph_is_refused(self, what, capsys):
+        # each --what reads only one of the two, so the other would be dropped
+        doc = json.dumps({"n": 4, "edges": [[0, 1, 2], [1, 2, 2], [2, 3, 2], [0, 3, 2]]})
+        args = ["recognize", "--what", what, "--graph", K4_G6, "--multigraph", doc, "--k", "4"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: recognize takes --graph or --multigraph, not both\n"
+
     def test_brick_malformed_multigraph_exits_1(self, capsys):
         for doc in (
             '{"n":3}',
@@ -423,8 +433,31 @@ class TestParser:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["frobnicate"],
+            ["recognize", "--graph", K4_G6],
+            ["recognize", "--what", "dirac", "--k", "three"],
+        ],
+        ids=["unknown-command", "missing-what", "k-not-a-number"],
+    )
+    def test_usage_errors_exit_1(self, args):
+        # status 2 is kept for a refutation, so a typo must not look like one
+        done = run_cli(*args)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert lines[0].startswith("usage: dpcolor")
+        assert re.match(r"dpcolor( recognize)?: error: ", lines[-1]), lines[-1]
+
+    def test_help_exits_0(self):
+        done = run_cli("recognize", "-h")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: dpcolor recognize")

@@ -379,3 +379,31 @@ class TestFindBrick:
             w = find_brick(g, 6, allow_submultiplicity=allow)
             assert w == reference_find_brick(g, 6, allow_submultiplicity=allow)
             assert (w and (w.shape, w.vertices, w.multiplicity)) == expect
+
+    def test_long_cycle_is_walked_not_listed(self):
+        # listing the C(40, r) vertex sets of each size r never ends; the
+        # walk follows the ring pairs around the cycle
+        g = MultiGraph(40, [(v, (v + 1) % 40, 3) for v in range(40)])
+        start = time.perf_counter()
+        for allow in (True, False):
+            w = find_brick(g, 6, allow_submultiplicity=allow)
+            assert (w.shape, w.vertices, w.multiplicity) == ("cycle", tuple(range(40)), 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_many_isolated_vertices_are_decided_fast(self):
+        # no vertex has 2 ring pairs, so no size walks a cycle
+        g = MultiGraph(20_000, [])
+        start = time.perf_counter()
+        assert find_brick(g, 6) is None
+        assert find_brick(g, 6, allow_submultiplicity=False) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_chord_spoils_only_the_exact_cycle(self):
+        # a single pair (0, 3) across a 6-cycle of triple pairs: the cycle is
+        # still contained, but no longer induced
+        g = MultiGraph(6, [(v, (v + 1) % 6, 3) for v in range(6)] + [(0, 3, 1)])
+        w = find_brick(g, 6)
+        assert (w.shape, w.vertices, w.multiplicity) == ("cycle", (0, 1, 2, 3, 4, 5), 3)
+        assert w == reference_find_brick(g, 6)
+        assert find_brick(g, 6, allow_submultiplicity=False) is None
+        assert reference_find_brick(g, 6, allow_submultiplicity=False) is None
