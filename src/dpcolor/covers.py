@@ -577,11 +577,18 @@ def cover_from_json(data: Mapping) -> Cover:
     for key, pairs in given.items():
         if not isinstance(key, str):
             raise ValueError(f"malformed matching key {key!r}")
-        head, _, slot_txt = key.partition("#")
+        head, sep, slot_txt = key.partition("#")
+        u_txt, _, v_txt = head.partition("-")
+        nums = u_txt + v_txt + slot_txt
         try:
-            u_txt, v_txt = head.split("-")
-            u, v = int(u_txt), int(v_txt)
-            slot = int(slot_txt) if slot_txt else 0
+            # each number is ASCII decimal digits: int() would also take signs,
+            # spaces, underscores and other scripts' digits
+            if not (
+                u_txt and v_txt and (slot_txt or not sep) and nums.isdigit() and nums.isascii()
+            ):
+                raise ValueError
+            # int() still refuses more digits than sys.get_int_max_str_digits()
+            u, v, slot = int(u_txt), int(v_txt), int(slot_txt or 0)
         except ValueError:
             raise ValueError(f"malformed matching key {key!r}") from None
         if u >= v:

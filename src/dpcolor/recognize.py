@@ -179,6 +179,9 @@ def _first_cycle(
         above = pool >> s + 1 << s + 1
         if above.bit_count() < r - 1:
             break
+        # the least vertex of a cycle has both its ring pairs above it
+        if (ring[s] & above).bit_count() < 2:
+            continue
         found: list[tuple[int, ...]] = []
         path, inside, stack = [s], 1 << s, [ring[s] & above]
         while stack:

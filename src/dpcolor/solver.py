@@ -58,7 +58,8 @@ coloring, or no edge can be spared, is the search run on the shared
 tables.  Before the union search, a color whose union row toward some
 neighbor is full is dropped, and a box where a vertex has no color left
 skips it.  Both table sets of a box come from one load, which patches
-them together on the edges whose domain changed since the last box.
+them together on the edges whose domain changed since the last box and
+reads the live colors afresh off the rows of the edges it walks.
 Only an edge with more than one option can change, or hold a killer,
 so the load and the split walk those edges alone: in the perfect
 regime, the edges off the pinned spanning tree.
@@ -287,16 +288,16 @@ class _BoxSearch:
 
     An edge's shared rows, union rows and live colors on a domain are
     built in one pass over its ``holds`` and memoised on the instance,
-    for one call, shared by the edges with the same options.  ``load``
-    fills both table sets in one pass over a box, keeping one list of
-    the domain each edge holds in them: a new box rewrites both sets
-    only on the edges whose domain changed, usually one or two, and
-    recomputes live colors only at their ends.  The instance writes
-    every edge's rows once, in edge order, when it is built, so the
-    dicts iterate in edge order; after that ``load`` and the split walk
-    only the edges with more than one option, since an edge with one
-    option keeps its one domain and holds no killer.  Boxes keep an
-    entry for every edge.
+    for one call, shared by the edges with the same options.  The
+    instance writes every edge's rows once, in edge order, when it is
+    built, so the dicts iterate in edge order; after that ``load`` is
+    the one writer of both table sets.  It keeps one list of the domain
+    each edge holds in them and the rows it was loaded with, rewrites
+    both sets only on the edges whose domain changed, usually one or
+    two, and reads the live colors afresh off the loaded rows.  ``load``
+    and the split walk only the edges with more than one option, since
+    an edge with one option keeps its one domain, holds no killer and
+    is never spared.  Boxes keep an entry for every edge.
 
     The instance counts the boxes it decides, the uncolorable ones among
     them, the spared ones, whose phi came from the union tables, and the
@@ -333,28 +334,22 @@ class _BoxSearch:
             self._kind.append(kind)
         # the shared and the union table sets, the domain each edge holds in
         # both, and the rows it was loaded with
-        m = len(self.choices)
         self.conf: ConflictTables = [{} for _ in range(g.n)]
         self.union: ConflictTables = [{} for _ in range(g.n)]
-        # their neighbor lists for the search: live views, which see every patch
+        # their neighbor lists for the search: live views, which see every load
         self._conf_adj = [row.items() for row in self.conf]
         self._union_adj = [row.items() for row in self.union]
-        self._held = [0] * m
-        self._loaded: list[_EdgeRows] = [None] * m  # type: ignore[list-item]
-        # a bit per edge the union set spares, and each vertex's live colors there
-        self._spare = 0
-        self._live = [(1 << k) - 1] * g.n
-        # incident[w]: (p, 2) for each edge p = (w, v), (p, 3) for each p = (u, w)
-        self._incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        ends = [(p, u, v) for p, ((u, v), _) in enumerate(self.choices)]
-        for p, u, v in ends:
-            self._incident[u].append((p, 2))
-            self._incident[v].append((p, 3))
-        # the edges with more than one option: no other edge's domain ever
-        # changes, and no other edge holds a killer
-        self._free = [(p, u, v) for p, u, v in ends if len(self.choices[p][1]) > 1]
+        self._held = [(1 << len(options)) - 1 for _, options in self.choices]
+        self._loaded = [self._edge_rows(p, dom) for p, dom in enumerate(self._held)]
         # every edge's rows once, in edge order, so the dicts iterate in edge order
-        self._patch([(1 << len(options)) - 1 for _, options in self.choices], ends)
+        for ((u, v), _), (shared, spare, _, _) in zip(self.choices, self._loaded):
+            self.conf[u][v], self.conf[v][u] = shared
+            self.union[u][v], self.union[v][u] = spare or shared
+        # the edges with more than one option: no other edge's domain ever
+        # changes, no other edge holds a killer, and no other edge is spared
+        self._free = [
+            (p, u, v) for p, ((u, v), options) in enumerate(self.choices) if len(options) > 1
+        ]
 
     def load(self, box: list[int]) -> Optional[list[int]]:
         """Load a box into ``conf``, its shared tables, and ``union``, its union tables.
@@ -362,36 +357,33 @@ class _BoxSearch:
         The shared tables hold the pairs each edge's whole domain shares.
         In the union tables an edge that can be spared gets the pairs some
         option in its domain matches, and the others keep their shared
-        pairs.  Both are patched in place on the edges whose domain changed
-        since the last load; only an edge with more than one option can
-        change.  Returns each vertex's live colors in the union tables, a
-        fresh list the search may consume: a color of u is live unless a
-        union row rules out every color of a neighbor with it.  None when
-        no edge can be spared, or when some vertex has no live color, so
-        that the union tables have no coloring.
+        pairs.  One pass over the edges with more than one option, the
+        only ones whose domain can change, patches both sets in place on
+        the edges whose domain changed since the last load, and reads
+        each vertex's live colors in the union tables afresh off every
+        such edge's rows: a color of u is live unless a union row rules
+        out every color of a neighbor with it.  Returns them as a fresh
+        list the search may consume; None when no edge can be spared, or
+        when some vertex has no live color, so that the union tables have
+        no coloring.
         """
-        return self._patch(box, self._free)
-
-    def _patch(self, box: list[int], edges: Iterable[tuple[int, int, int]]) -> Optional[list[int]]:
-        """``load``, looking only at the edges (p, u, v) given."""
         conf, union, held, loaded = self.conf, self.union, self._held, self._loaded
-        moved = 0
-        for p, u, v in edges:
+        live = [(1 << self.k) - 1] * len(conf)
+        spared = False
+        for p, u, v in self._free:
             dom = box[p]
             if held[p] != dom:
                 held[p] = dom
-                loaded[p] = shared, spare, _, _ = self._edge_rows(p, dom)
+                loaded[p] = shared, spare, live_u, live_v = self._edge_rows(p, dom)
                 conf[u][v], conf[v][u] = shared
                 union[u][v], union[v][u] = spare or shared
-                self._spare = self._spare & ~(1 << p) | (spare is not None) << p
-                moved |= 1 << u | 1 << v
-        live = self._live
-        for w in _bits(moved):
-            colors = (1 << self.k) - 1
-            for p, at in self._incident[w]:
-                colors &= loaded[p][at]
-            live[w] = colors
-        return list(live) if self._spare and all(live) else None
+            else:
+                _, spare, live_u, live_v = loaded[p]
+            if spare is not None:
+                spared = True
+                live[u] &= live_u
+                live[v] &= live_v
+        return live if spared and all(live) else None
 
     def _edge_rows(self, p: int, dom: int) -> _EdgeRows:
         """Edge p's shared rows on a domain, and its union rows with the colors they leave live.

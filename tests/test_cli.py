@@ -94,6 +94,13 @@ class TestSolve:
             '{"graph6":"A_","k":true}',
             '{"graph6":"A_","k":2,"matchings":{"0-1":[[true,0]]}}',
             '{"multigraph":{"n":3,"edges":[[0,true,2]]},"k":2}',
+            # the numbers of a matching key are ASCII decimal digits
+            '{"graph6":"A_","k":2,"matchings":{" 0-1":[]}}',
+            '{"graph6":"A_","k":2,"matchings":{"+0-1":[]}}',
+            '{"graph6":"A_","k":2,"matchings":{"0_0-1":[]}}',
+            '{"graph6":"A_","k":2,"matchings":{"٠-١":[]}}',
+            '{"graph6":"A_","k":2,"matchings":{"0-1#+0":[]}}',
+            '{"graph6":"A_","k":2,"matchings":{"0-1# 0":[]}}',
             # deeper than the JSON reader can follow
             pytest.param("[" * 100000 + "]" * 100000, id="deep-array"),
         ],

@@ -76,6 +76,10 @@ class TestCoverConstruction:
         with pytest.raises(ValueError):
             Cover(C4, [2] * 4, {(0, 2): [(0, 0)]})
 
+    def test_slot_matchings_refuse_a_non_edge(self):
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge of the base graph"):
+            Cover(C4, [2] * 4).slot_matchings(0, 2)
+
     def test_flipped_key_is_transposed(self):
         a = Cover(C4, [2] * 4, {(0, 1): [(0, 1)]})
         b = Cover(C4, [2] * 4, {(1, 0): [(1, 0)]})
@@ -297,6 +301,30 @@ class TestValidateCover:
                 ),
                 "cover JSON has both 'graph6' and 'multigraph'",
             ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{" 0-1":[]}}'),
+                "malformed matching key ' 0-1'",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"+0-1":[]}}'),
+                "malformed matching key '+0-1'",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"0_0-1":[]}}'),
+                "malformed matching key '0_0-1'",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"٠-١":[]}}'),
+                "malformed matching key '٠-١'",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"0-1#+0":[]}}'),
+                "malformed matching key '0-1#+0'",
+            ),
+            (
+                lambda: cover_from_json_text('{"graph6":"A_","k":2,"matchings":{"0-1# 0":[]}}'),
+                "malformed matching key '0-1# 0'",
+            ),
         ],
         ids=[
             "non-int",
@@ -324,6 +352,12 @@ class TestValidateCover:
             "json-unknown-key",
             "json-k-and-list-sizes",
             "json-graph6-and-multigraph",
+            "json-key-space",
+            "json-key-plus",
+            "json-key-underscore",
+            "json-key-arabic-indic",
+            "json-key-slot-plus",
+            "json-key-slot-space",
         ],
     )
     def test_single_fault_messages_are_exact(self, build, message):
@@ -357,6 +391,10 @@ class TestCoverFromLists:
         g = SimpleGraph(2, [(0, 1)])
         with pytest.raises(ValueError):
             cover_from_lists(g, [[5, 5, 7], [7]])
+
+    def test_wrong_number_of_lists_rejected(self):
+        with pytest.raises(ValueError, match="got 1 lists for 2 vertices"):
+            cover_from_lists(K2, [[0, 1]])
 
     def test_identity_lists_make_identity_matchings(self):
         c = identity_cover(K3, 3)
@@ -401,6 +439,13 @@ class TestPartialColoring:
         q = p.extended({1: 1})
         assert p.picks == {0: 0}
         assert q.picks == {0: 0, 1: 1}
+
+    def test_uncolored_pick_and_recolored_extension_refused(self):
+        p = PartialColoring({0: 0})
+        with pytest.raises(KeyError, match="vertex 1 not colored"):
+            p.pick(1)
+        with pytest.raises(ValueError, match="vertex 0 already colored"):
+            p.extended({0: 1})
 
     def test_is_independent(self):
         c = Cover(C4, [2] * 4, {(0, 1): [(0, 0), (1, 1)]})

@@ -82,6 +82,10 @@ class TestSimpleGraph:
         assert sub.n == 3
         assert sub.edges() == ((0, 1), (0, 2), (1, 2))
 
+    def test_induced_refuses_vertices_out_of_range(self):
+        with pytest.raises(ValueError, match=r"vertices \[0, 3\] out of range for n=3"):
+            SimpleGraph(3, [(0, 1)]).induced([0, 3])
+
     def test_components_sorted_by_smallest_vertex(self):
         g = SimpleGraph(6, [(3, 4), (0, 5)])
         comps = g.connected_components()
@@ -120,6 +124,14 @@ class TestMultiGraph:
             MultiGraph(2, [(1, 1, 1)])
         with pytest.raises(ValueError):
             MultiGraph(2, [(0, 1, -1)])
+
+    def test_rejects_vertices_out_of_range(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            MultiGraph(-1)
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for n=2"):
+            MultiGraph(2, [(0, 2, 1)])
+        with pytest.raises(ValueError, match="vertex 2 out of range for n=2"):
+            MultiGraph(2, [(0, 1, 1)]).degree(2)
 
     def test_connectivity_ignores_multiplicity(self):
         assert MultiGraph(2, [(0, 1, 5)]).is_connected()
@@ -416,6 +428,9 @@ class TestBlockShape:
 
 
 class TestCliques:
+    def test_empty_graph_has_clique_number_0(self):
+        assert clique_number(SimpleGraph(0)) == 0
+
     def test_k4_contains_k4(self):
         assert contains_clique(parse_graph6("C~"), 4)
 

@@ -114,6 +114,11 @@ class TestVerifyDiracBound:
         assert row.witness_cover
         assert revalidate_row(row)
 
+    def test_witness_failing_revalidation_raises(self, monkeypatch):
+        monkeypatch.setattr(dpcolor.harness, "revalidate_row", lambda row: False)
+        with pytest.raises(RuntimeError, match="witness for 'F{cZG' failed revalidation"):
+            verify_dirac_bound(SweepConfig(k=3, include_dirac=True), ["F{cZG"])
+
     def test_rejected_graphs_produce_no_rows(self):
         stream = [emit_graph6(complete(4)), emit_graph6(make_dirac(3, 2))]
         assert verify_dirac_bound(SweepConfig(k=3), stream) == []
@@ -381,6 +386,11 @@ class TestReports:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_report_csv("a,b,c\n1,2,3\n")
+
+    def test_blank_record_is_skipped(self):
+        good = "Dl{,5,8,0,false,false,perfect,false,,1296,0.009081"
+        text = ",".join(REPORT_FIELDS) + "\n\n" + good + "\n"
+        assert [row.graph6 for row in parse_report_csv(text)] == ["Dl{"]
 
     @pytest.mark.parametrize(
         "record, problem",

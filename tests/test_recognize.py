@@ -390,6 +390,16 @@ class TestFindBrick:
             assert (w.shape, w.vertices, w.multiplicity) == ("cycle", tuple(range(40)), 3)
         assert time.perf_counter() - start < 1.0
 
+    def test_walks_start_only_where_a_cycle_can_start(self):
+        # only vertex 0 has both ring pairs above it, so each size walks
+        # one path from 0 in place of one from every vertex
+        g = MultiGraph(400, [(v, (v + 1) % 400, 3) for v in range(400)])
+        start = time.perf_counter()
+        for allow in (True, False):
+            w = find_brick(g, 6, allow_submultiplicity=allow)
+            assert (w.shape, w.vertices, w.multiplicity) == ("cycle", tuple(range(400)), 3)
+        assert time.perf_counter() - start < 1.0
+
     def test_many_isolated_vertices_are_decided_fast(self):
         # no vertex has 2 ring pairs, so no size walks a cycle
         g = MultiGraph(20_000, [])

@@ -233,6 +233,10 @@ class TestIsEnhanced:
         with pytest.raises(ValueError):
             is_enhanced(sc, PartialColoring(), 1, sprof)  # leaf degree 1 != 3
 
+    def test_profile_of_another_k_refused(self):
+        with pytest.raises(ValueError, match="cover has k=2 but profile has k=3"):
+            is_enhanced(identity_cover(C4, 2), PartialColoring(), 0, degree_profile(C4, 3))
+
 
 class TestFindEnhancingExtension:
     def star_cover(self):
@@ -281,6 +285,11 @@ class TestFindEnhancingExtension:
         tprof = degree_profile(tri_plus, 3)
         with pytest.raises(ValueError):
             find_enhancing_extension(tc, PartialColoring(), 0, [1, 2], tprof)  # 1-2 edge
+
+    def test_attach_vertex_off_the_neighborhood_refused(self):
+        star, c, prof = self.star_cover()
+        with pytest.raises(ValueError, match="attach vertex 2 is not a neighbor of 1"):
+            find_enhancing_extension(c, PartialColoring(), 1, [2], prof)
 
     def test_guarantee_when_hypotheses_hold(self):
         # empty coloring, independent attach set of size >= 2 inside N(u),
@@ -510,3 +519,28 @@ class TestColorDegreeCover:
         other = SimpleGraph(2, [(0, 1)])
         with pytest.raises(ValueError):
             color_degree_cover(C4, Cover(other, [1, 1], {}))  # base mismatch
+
+    def test_certificates_refused_past_the_structure_checks(self):
+        straight, twisted = make_c4_covers()
+        ok = color_degree_cover(C4, straight)
+        picks = dict(ok.coloring.items)
+        picks[0] = straight.size(0)  # one past the last color of vertex 0
+        out_of_range = dataclasses.replace(ok, coloring=PartialColoring(picks))
+        assert not certificate_is_valid(C4, straight, out_of_range)
+        cert = color_degree_cover(C4, twisted)
+        assert not certificate_is_valid(C4, twisted, dataclasses.replace(cert, blocks=None))
+        # uncolorable because vertex 0 has no color, not because its list is tight
+        k2 = SimpleGraph(2, [(0, 1)])
+        short = GDPCertificate(False, None, (("clique", (0, 1)),), (), True, ((0, 1),))
+        assert not certificate_is_valid(k2, Cover(k2, [0, 1], {}), short)
+
+    def test_an_uncolorable_verdict_the_structure_contradicts_raises(self, monkeypatch):
+        monkeypatch.setattr(dpcolor.solver, "find_coloring", lambda c: None)
+        diamond = SimpleGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        with pytest.raises(RuntimeError, match="neither a clique nor a cycle"):
+            color_degree_cover(diamond, Cover(diamond, diamond.degrees()))
+        k2 = SimpleGraph(2, [(0, 1)])
+        with pytest.raises(RuntimeError, match="strictly larger than a degree"):
+            color_degree_cover(k2, Cover(k2, [2, 1]))
+        with pytest.raises(RuntimeError, match=r"edge \(0, 1\) .* not a full matching"):
+            color_degree_cover(C4, Cover(C4, [2] * 4))
