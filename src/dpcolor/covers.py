@@ -22,10 +22,12 @@ graph in one of two regimes:
   injections of [k], with no relabeling reduction, giving P(k)^m covers
   where P(k) = sum_r C(k,r)^2 r!.
 
-A cover is stored as the conflict tables the solver searches, built in
-the one pass that checks each matching: ``conf[u][v][i]`` is the bitmask
-of the colors of v matched to color i of u, the union over parallel
-edges.  Bit j stands for color j.
+A cover is stored as the neighbor lists the solver searches, built in
+the one pass that checks each matching: ``adj[u]`` holds a ``(v, rows)``
+pair per neighbor v, ascending, where ``rows[i]`` is the bitmask of the
+colors of v matched to color i of u, the union over parallel edges.  Bit
+j stands for color j.  What a partial coloring leaves each vertex is
+read in one place, ``_colors_left``.
 
 A cover's canonical JSON text has one writer, ``cover_to_json_text``,
 which reads it straight off these rows; ``cover_to_json`` is that text
@@ -136,21 +138,18 @@ class Cover:
     and no color matched twice.  Every constructor raises ValueError
     naming the edge and the pair otherwise.
 
-    A cover is stored as its conflict tables (see the module docstring).
-    Beside them ``_adj`` holds the solver's neighbor lists, built once:
-    ``_adj[u]`` lists the ``(v, conf[u][v])`` pairs of ``conf[u]``,
-    sharing its row lists with no copy.  A pair of multiplicity t > 1
-    also keeps the rows of each of its t matchings, so that slots and
-    equality can tell them apart.
+    A cover is stored as its neighbor lists ``_adj`` (see the module
+    docstring).  A pair of multiplicity t > 1 also keeps the rows of each
+    of its t matchings, so that slots and equality can tell them apart.
 
     A cover never changes, so what is decided about it is kept on it:
     ``_whole``, which holds ``(find_coloring(c),)`` once the solver has
     searched the whole cover with no target and no seed; and
     ``_critical``, ``is_critical(c)`` once it has been decided, else
-    None.  Equality and hashing ignore both, and the neighbor lists.
+    None.  Equality and hashing ignore both.
     """
 
-    __slots__ = ("base", "list_size", "_conf", "_adj", "_parallel", "_whole", "_critical")
+    __slots__ = ("base", "list_size", "_adj", "_parallel", "_whole", "_critical")
 
     def __init__(self, base: BaseGraph, sizes: Sequence[int], matchings: Mapping = {}):
         self._fill(base, sizes, matchings, bare=isinstance(base, SimpleGraph))
@@ -196,11 +195,11 @@ class Cover:
         """Store the checked rows of each pair's slots; a pair or slot not given is empty.
 
         ``mult`` maps each pair of the base to its multiplicity, in
-        ``base.pairs()`` order, the order the rows go into the tables.
+        ``base.pairs()`` order, sorted, so each neighbor list ascends.
         """
         self.base = base
         self.list_size = sizes
-        conf: ConflictTables = [{} for _ in range(base.n)]
+        adj: list[list[tuple[int, list[int]]]] = [[] for _ in range(base.n)]
         parallel: dict[tuple[int, int], tuple[_SlotRows, ...]] = {}
         for (u, v), t in mult.items():
             size_u, size_v = sizes[u], sizes[v]
@@ -214,10 +213,9 @@ class Cover:
                     fwd = [x | y for x, y in zip(fwd, f)]
                     bwd = [x | y for x, y in zip(bwd, b)]
                 parallel[(u, v)] = kept
-            conf[u][v] = fwd
-            conf[v][u] = bwd
-        self._conf = conf
-        self._adj = [list(row.items()) for row in conf]
+            adj[u].append((v, fwd))
+            adj[v].append((u, bwd))
+        self._adj = adj
         self._parallel = parallel
         self._whole: tuple[PartialColoring | None, ...] = ()
         self._critical: bool | None = None
@@ -239,16 +237,15 @@ class Cover:
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Adjacent vertex pairs (u, v) with u < v, sorted."""
-        # each row of the tables took its neighbors in base.pairs() order, so
-        # the neighbors above u come last and ascending; from a list, as in
-        # SimpleGraph.edges()
-        return tuple([(u, v) for u, row in enumerate(self._conf) for v in row if v > u])
+        # each neighbor list ascends; from a list, as in SimpleGraph.edges()
+        return tuple([(u, v) for u, nbrs in enumerate(self._adj) for v, _ in nbrs if v > u])
 
     def _rows(self, u: int, v: int) -> list[int]:
         """conf[u][v]: the union of the pair's matchings as rows u -> v."""
-        if not (0 <= u < self.n and v in self._conf[u]):
-            raise ValueError(f"({u}, {v}) is not an edge of the base graph")
-        return self._conf[u][v]
+        for w, row in self._adj[u] if 0 <= u < self.n else ():
+            if w == v:
+                return row
+        raise ValueError(f"({u}, {v}) is not an edge of the base graph")
 
     def slot_matchings(self, u: int, v: int) -> tuple[Matching, ...]:
         """Per-parallel-edge matchings for the pair, oriented u -> v, as sorted pairs."""
@@ -265,17 +262,16 @@ class Cover:
         return frozenset((i, j) for i, row in enumerate(self._rows(u, v)) for j in _bits(row))
 
     def conflict_tables(self) -> ConflictTables:
-        """The form the solver searches: conf[u][v][i] as bitmasks.
+        """The neighbor lists as dicts, conf[u][v][i] as bitmasks, built afresh.
 
-        Shared with the cover; callers must not modify it.
+        The row lists are shared with the cover; callers must not modify them.
         """
-        return self._conf
+        return [dict(nbrs) for nbrs in self._adj]
 
     def matched_mask(self, u: int, v: int, i: int) -> int:
         """Bitmask of the colors of v joined to color i of u (0 if none)."""
-        if 0 <= u < self.n:
-            row = self._conf[u].get(v)
-            if row is not None and 0 <= i < len(row):
+        for w, row in self._adj[u] if 0 <= u < self.n else ():
+            if w == v and 0 <= i < len(row):
                 return row[i]
         return 0
 
@@ -289,12 +285,12 @@ class Cover:
         return (
             self.base == other.base
             and self.list_size == other.list_size
-            and self._conf == other._conf
+            and self._adj == other._adj
             and self._parallel == other._parallel
         )
 
     def __hash__(self) -> int:
-        rows = tuple([tuple(self._conf[u][v]) for u, v, _ in self.base.pairs()])
+        rows = tuple([tuple(row) for u, nbrs in enumerate(self._adj) for v, row in nbrs if v > u])
         return hash((self.base, self.list_size, rows))
 
     def __repr__(self) -> str:
@@ -395,26 +391,30 @@ def cover_from_lists(g: BaseGraph, lists: Sequence[Sequence[object]]) -> Cover:
     return Cover.from_slots(g, [len(lst) for lst in sorted_lists], slots)
 
 
-def residual_list(c: Cover, p: PartialColoring, u: int) -> tuple[int, ...]:
-    """Colors of u not joined to any pick of p.  u must be uncovered."""
-    if u in p:
-        raise ValueError(f"vertex {u} is already colored")
-    alive = (1 << c.size(u)) - 1
-    for w, j in p.items:
-        alive &= ~c.matched_mask(w, u, j)
-    return _bits(alive)
-
-
-def is_independent(c: Cover, p: PartialColoring) -> bool:
-    """True iff no two picks of p are joined by a matching pair."""
+def _colors_left(c: Cover, p: PartialColoring) -> list[int]:
+    """Per vertex, picked or not, the mask of its colors that no pick of p is joined to."""
+    left = [(1 << s) - 1 for s in c.list_size]
     for v, i in p.items:
         if not 0 <= v < c.n or not 0 <= i < c.size(v):
             raise ValueError(f"pick ({v}, {i}) out of range")
-    for idx, (v, i) in enumerate(p.items):
-        for w, j in p.items[idx + 1 :]:
-            if c.matched_mask(v, w, i) >> j & 1:
-                return False
-    return True
+        for w, row in c._adj[v]:
+            left[w] &= ~row[i]
+    return left
+
+
+def residual_list(c: Cover, p: PartialColoring, u: int) -> tuple[int, ...]:
+    """Colors of u not joined to any pick of p.  u must be uncovered."""
+    if not 0 <= u < c.n:
+        raise ValueError(f"vertex {u} out of range for n={c.n}")
+    if u in p:
+        raise ValueError(f"vertex {u} is already colored")
+    return _bits(_colors_left(c, p)[u])
+
+
+def is_independent(c: Cover, p: PartialColoring) -> bool:
+    """True iff no two picks of p are joined by a matching pair: each pick's color is left."""
+    left = _colors_left(c, p)
+    return all(left[v] >> i & 1 for v, i in p.items)
 
 
 def _spanning_tree_edges(g: SimpleGraph) -> set[tuple[int, int]]:
@@ -649,8 +649,8 @@ def cover_to_json_text(c: Cover) -> str:
         parts += [',"multigraph":{"n":', str(base.n), ',"edges":[', edges, "]}"]
     named = []
     parallel = c._parallel
-    for u, row in enumerate(c._conf):
-        for v, fwd in row.items():
+    for u, nbrs in enumerate(c._adj):
+        for v, fwd in nbrs:
             if v < u:
                 continue
             slots = parallel.get((u, v))

@@ -100,9 +100,13 @@ class SimpleGraph:
         return self._nbr[u] >> v & 1 == 1
 
     def neighbors(self, u: int) -> frozenset[int]:
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} out of range for n={self.n}")
         return frozenset(_bits(self._nbr[u]))
 
     def degree(self, u: int) -> int:
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} out of range for n={self.n}")
         return self._nbr[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:

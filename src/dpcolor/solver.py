@@ -9,15 +9,15 @@ matching pair joins it to the current pick.  All answers are exact;
 instances are expected to be desk scale (n at most about 13).
 
 The search walks a list of (neighbor, rows) pairs per vertex: a
-``Cover`` builds its lists once beside its tables, and a box search
-reads live ``items()`` views of the tables it patches, so no search
-builds them.  A pick that would empty a neighbor's colors is refused
-before any mask is written, and every pick's removals go on one trail
-that an undo pops back.  The scan for the fewest colors stops at the
-first vertex with one color, which a full scan picks too, so the
-branching rule, every pick and every node count stay those of the full
-scan.  The search keeps its own stack, so no recursion limit bounds its
-depth.
+``Cover`` is stored as these lists, and a box search reads live
+``items()`` views of the tables it patches, so no search builds them.
+A seed's picks start it from the colors ``_colors_left`` reads.  A pick
+that would empty a neighbor's colors is refused before any mask is
+written, and every pick's removals go on one trail that an undo pops
+back.  The scan for the fewest colors stops at the first vertex with
+one color, which a full scan picks too, so the branching rule, every
+pick and every node count stay those of the full scan.  The search
+keeps its own stack, so no recursion limit bounds its depth.
 
 A cover is decided once: ``find_coloring(c)`` with no target and no
 seed keeps its answer on the cover, and later calls without ``stats``
@@ -78,6 +78,7 @@ from .covers import (
     Cover,
     PartialColoring,
     _bits,
+    _colors_left,
     cover_choices,
     is_full_matching,
     is_independent,
@@ -197,21 +198,16 @@ def find_coloring(
         return c._whole[0]
     if seed is None:
         seed = PartialColoring()
-    if not is_independent(c, seed):
+    avail = _colors_left(c, seed)
+    if not all(avail[v] >> i & 1 for v, i in seed.items):
         raise ValueError("seed is not independent")
     todo = set(range(c.n)) if target is None else set(target)
     for u in todo:
         if not 0 <= u < c.n:
             raise ValueError(f"target vertex {u} out of range")
     todo -= seed.dom
-
-    adj = c._adj
-    avail = [(1 << s) - 1 for s in c.list_size]
-    for w, j in seed.items:
-        for v, row in adj[w]:
-            avail[v] &= ~row[j]
     local = SearchStats()
-    assignment = _search(adj, avail, todo, local)
+    assignment = _search(c._adj, avail, todo, local)
     if stats is not None:
         stats.nodes_expanded = local.nodes_expanded
     found = None if assignment is None else seed.extended(assignment)
@@ -577,10 +573,10 @@ def find_enhancing_extension(
         for b in a_sorted[i + 1 :]:
             if simple.has_edge(a, b):
                 raise ValueError(f"attach set is not independent: edge ({a}, {b})")
-    residuals = [residual_list(c, p, a) for a in a_sorted]
+    enhanced = is_enhanced(c, p, u, profile)
     if not a_sorted:
-        return p if is_enhanced(c, p, u, profile) else None
-    for combo in product(*residuals):
+        return p if enhanced else None
+    for combo in product(*[residual_list(c, p, a) for a in a_sorted]):
         p2 = p.extended(dict(zip(a_sorted, combo)))
         if is_enhanced(c, p2, u, profile):
             return p2

@@ -21,6 +21,7 @@ from dpcolor import (
     cover_to_json_text,
     degree_profile,
     enumerate_covers,
+    find_coloring,
     is_colorable,
     is_independent,
     partial_injections,
@@ -477,6 +478,13 @@ class TestResidualList:
         with pytest.raises(ValueError):
             residual_list(c, PartialColoring({0: 0}), 0)
 
+    def test_rejects_vertex_out_of_range(self):
+        # -1 would otherwise read the last vertex's colors
+        c = identity_cover(SimpleGraph(3, [(0, 1), (1, 2)]), 3)
+        for u in (-1, 3):
+            with pytest.raises(ValueError, match=f"vertex {u} out of range for n=3"):
+                residual_list(c, PartialColoring(), u)
+
     def test_multigraph_residual_unions_parallel_slots(self):
         g = MultiGraph(2, [(0, 1, 2)])
         c = Cover(g, [3, 3], {(0, 1): [[(0, 0)], [(0, 1)]]})
@@ -503,6 +511,61 @@ class TestResidualList:
                 phi = deg_in - prof.epsilon[u]
                 assert phi == k - sum(1 for w in g.neighbors(u) if w in p.dom)
                 assert len(residual_list(c, p, u)) >= phi
+
+
+class TestReadingAPartialColoring:
+    def test_agrees_with_a_pairwise_oracle(self):
+        # is_independent, residual_list and a seeded find_coloring, against the
+        # matched pairs of each edge and a brute-force scan of full colorings
+        rng = Random(24)
+        seen = {True: 0, False: 0}
+        for trial in range(300):
+            if trial % 2:
+                g = random_multigraph(rng, rng.randint(2, 5))
+                sizes = [rng.randint(0, 3) for _ in range(g.n)]
+                slots = {
+                    (u, v): [random_partial_injection(rng, sizes[u], sizes[v]) for _ in range(t)]
+                    for u, v, t in g.pairs()
+                }
+                c = Cover.from_slots(g, sizes, slots)
+            else:
+                g = random_connected_graph(rng, rng.randint(1, 5), extra_p=0.4)
+                sizes = [rng.randint(0, 3) for _ in range(g.n)]
+                c = random_cover(rng, g, sizes, perfect=rng.random() < 0.5)
+            picks = {u: rng.randrange(s) for u, s in enumerate(sizes) if s and rng.random() < 0.6}
+            p = PartialColoring(picks)
+            joined = {}
+            for u, v in c.edge_pairs():
+                joined[u, v] = c.h_edges(u, v)
+                joined[v, u] = c.h_edges(v, u)
+            independent = all(
+                (i, picks[w]) not in joined.get((v, w), ())
+                for v, i in picks.items()
+                for w in picks
+            )
+            seen[independent] += 1
+            assert is_independent(c, p) == independent
+            for u in range(c.n):
+                if u not in picks:
+                    left = tuple(
+                        i
+                        for i in range(sizes[u])
+                        if all((j, i) not in joined.get((w, u), ()) for w, j in picks.items())
+                    )
+                    assert residual_list(c, p, u) == left
+            if not independent:
+                with pytest.raises(ValueError, match="seed is not independent"):
+                    find_coloring(c, seed=p)
+                continue
+            extending = [
+                x for x in brute_force_colorings(c) if all(x[v] == i for v, i in picks.items())
+            ]
+            found = find_coloring(c, seed=p)
+            if found is None:
+                assert extending == []
+            else:
+                assert tuple(found.pick(u) for u in range(c.n)) in extending
+        assert min(seen.values()) >= 30, seen
 
 
 class TestPartialInjections:

@@ -94,6 +94,15 @@ class TestSimpleGraph:
         assert SimpleGraph(1, []).is_connected()
         assert SimpleGraph(0, []).is_connected()
 
+    def test_degree_and_neighbors_refuse_vertices_out_of_range(self):
+        # -1 would otherwise wrap round to vertex 2, and 3 raise IndexError
+        g = SimpleGraph(3, [(0, 1), (1, 2)])
+        for u in (-1, 3):
+            with pytest.raises(ValueError, match=f"vertex {u} out of range for n=3"):
+                g.degree(u)
+            with pytest.raises(ValueError, match=f"vertex {u} out of range for n=3"):
+                g.neighbors(u)
+
     def test_equality_and_hash(self):
         a = SimpleGraph(3, [(0, 1), (1, 2)])
         b = SimpleGraph(3, [(1, 2), (0, 1)])

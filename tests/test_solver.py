@@ -1,10 +1,12 @@
 """Exact decision procedures: coloring search, criticality, thresholds, enhancement."""
 
 import dataclasses
+import re
 from random import Random
 
 import pytest
 
+import dpcolor.covers
 import dpcolor.solver
 from dpcolor import (
     Cover,
@@ -24,6 +26,7 @@ from dpcolor import (
     is_critical,
     is_enhanced,
     is_independent,
+    residual_list,
 )
 from dpcolor.construct import make_c4_covers, make_ks_example, make_wheel
 
@@ -285,6 +288,48 @@ class TestFindEnhancingExtension:
         tprof = degree_profile(tri_plus, 3)
         with pytest.raises(ValueError):
             find_enhancing_extension(tc, PartialColoring(), 0, [1, 2], tprof)  # 1-2 edge
+
+    def test_picks_out_of_range_refused(self, monkeypatch):
+        # a color past its list, or a vertex past the graph, is no pick: the one
+        # reading of a partial coloring refuses it wherever it is read
+        star, c, prof = self.star_cover()
+        refused = []
+        real = dpcolor.covers._colors_left
+
+        def spy(c, p):
+            try:
+                return real(c, p)
+            except ValueError as exc:
+                refused.append(str(exc))
+                raise
+
+        monkeypatch.setattr(dpcolor.covers, "_colors_left", spy)
+        for v, i in ((1, 7), (9, 0)):
+            p = PartialColoring({v: i})
+            message = f"pick ({v}, {i}) out of range"
+            calls = (
+                lambda: residual_list(c, p, 0),
+                lambda: is_independent(c, p),
+                lambda: is_enhanced(c, p, 0, prof),
+                lambda: find_enhancing_extension(c, p, 0, [2], prof),
+            )
+            for call in calls:
+                refused.clear()
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert refused == [str(info.value)] == [message]
+            with pytest.raises(ValueError, match=re.escape(message)):
+                find_coloring(c, seed=p)
+
+    def test_bad_profile_refused_when_no_combination_exists(self):
+        # vertex 1 has no color, so there is no pick on {1} to try
+        star = SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])
+        c = Cover(star, [3, 0, 3, 3], {})
+        prof = degree_profile(star, 5)
+        with pytest.raises(ValueError, match="vertex 0 does not have degree exactly 5"):
+            is_enhanced(c, PartialColoring(), 0, prof)
+        with pytest.raises(ValueError, match="vertex 0 does not have degree exactly 5"):
+            find_enhancing_extension(c, PartialColoring(), 0, [1], prof)
 
     def test_attach_vertex_off_the_neighborhood_refused(self):
         star, c, prof = self.star_cover()
