@@ -303,16 +303,16 @@ class PartialColoring:
     __slots__ = ("items", "_picks")
 
     def __init__(self, picks: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        if isinstance(picks, Mapping):
-            pairs = sorted(picks.items())
-        else:
-            pairs = sorted(tuple(p) for p in picks)
+        pairs = []
+        for v, i in picks.items() if isinstance(picks, Mapping) else map(tuple, picks):
+            if not (is_json_int(v) and is_json_int(i)) or v < 0 or i < 0:
+                raise ValueError(f"invalid pick ({v!r}, {i!r})")
+            pairs.append((v, i))
+        pairs.sort()
         lookup: dict[int, int] = {}
         for v, i in pairs:
             if v in lookup:
                 raise ValueError(f"vertex {v} picked twice")
-            if v < 0 or i < 0:
-                raise ValueError(f"invalid pick ({v}, {i})")
             lookup[v] = i
         self.items: tuple[tuple[int, int], ...] = tuple(pairs)
         self._picks = lookup

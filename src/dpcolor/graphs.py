@@ -14,15 +14,18 @@ followed by ceil(n(n-1)/2 / 6) payload bytes carrying the upper triangle
 of the adjacency matrix in column order, six bits per byte, each offset
 by 63.  The decoder keeps a layout per n: for each payload position, a
 table from a byte to the adjacency bits it sets, every row in one int,
-filled the first time that byte is met there.  A line costs one lookup
-and one OR per byte and one shift per row, with no edge list and no
-per-edge checks; only a byte missing from its table is checked.
+filled the first time that byte is met there.  Each row takes a
+machine word of the int (8, 16, 32 or 64 bits, the least that holds n),
+so a line costs one lookup and one OR per byte and one ``struct`` unpack
+that splits the rows in C, with no edge list and no per-edge checks;
+only a byte missing from its table is checked.
 Parse failures raise :class:`Graph6Error` naming the byte offset.
 """
 
 from __future__ import annotations
 
 import string
+import struct
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
@@ -47,16 +50,25 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(found)
 
 
+def _check_count(n: object) -> None:
+    """Refuse a vertex count that is not a non-negative int; a bool is no count."""
+    if not is_json_int(n):
+        raise ValueError(f"vertex count must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+
+
 class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1, immutable after construction."""
 
     __slots__ = ("n", "m", "_nbr", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        _check_count(n)
         nbr = [0] * n
         for u, v in edges:
+            if not (is_json_int(u) and is_json_int(v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) must have int endpoints")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -66,17 +78,18 @@ class SimpleGraph:
         self._hold(n, nbr)
 
     @classmethod
-    def _from_masks(cls, n: int, nbr: list[int]) -> "SimpleGraph":
+    def _from_masks(cls, n: int, nbr: Sequence[int], m: Optional[int] = None) -> "SimpleGraph":
         """The graph with these neighbor masks, unchecked: in range, loop-free, symmetric."""
         g = cls.__new__(cls)
-        g._hold(n, nbr)
+        g._hold(n, nbr, m)
         return g
 
-    def _hold(self, n: int, nbr: list[int]) -> None:
+    def _hold(self, n: int, nbr: Sequence[int], m: Optional[int] = None) -> None:
+        """Fill the slots; m, when given, is the edge count of nbr."""
         self.n = n
         # _nbr[u] has bit w set when uw is an edge
         self._nbr: tuple[int, ...] = tuple(nbr)
-        self.m = sum(map(int.bit_count, nbr)) // 2
+        self.m = sum(map(int.bit_count, nbr)) // 2 if m is None else m
         # the edge tuple, built on first use
         self._edges: Optional[tuple[tuple[int, int], ...]] = None
 
@@ -187,10 +200,11 @@ class MultiGraph:
     __slots__ = ("n", "m", "_mult", "_simple")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        _check_count(n)
         mult: dict[tuple[int, int], int] = {}
         for u, v, t in edges:
+            if not (is_json_int(u) and is_json_int(v) and is_json_int(t)):
+                raise ValueError(f"edge ({u!r}, {v!r}, {t!r}) must have int entries")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -284,12 +298,28 @@ def multigraph_from_json(data: object) -> MultiGraph:
 
 
 @cache
+def _graph6_rows(n: int) -> tuple[int, struct.Struct]:
+    """The row stride w of an n-vertex line's adjacency int, and its splitter.
+
+    w is the least of 8, 16, 32 and 64 bits that holds n, so row u sits at
+    bit w * u.  The int, written as n * w // 8 little-endian bytes, unpacks
+    through the Struct as n unsigned words, word u being row u.
+    """
+    w = 8
+    while w < n:
+        w *= 2
+    code = {8: "B", 16: "H", 32: "I", 64: "Q"}[w]
+    return w, struct.Struct(f"<{n}{code}")
+
+
+@cache
 def _graph6_layout(n: int) -> list[dict[str, int]]:
     """One table per payload position of an n-vertex line, empty until read.
 
     Table pos - 1 maps a character met at byte offset pos to the
     adjacency bits its six payload bits set: every row in one int, row u
-    at bit n * u, so pair uv sets bits n * u + v and n * v + u.  Only
+    at bit w * u for the stride w of ``_graph6_rows``, so pair uv sets
+    bits w * u + v and w * v + u.  Only
     ``_graph6_learn`` writes an entry, and only for a character it
     accepts, so the tables grow to at most 64 entries each, and at most
     63 layouts exist (n <= 62).
@@ -305,6 +335,7 @@ def _graph6_learn(n: int, s: str) -> None:
     Nothing is entered for a refused byte.
     """
     nbits = n * (n - 1) // 2
+    w = _graph6_rows(n)[0]
     for pos, (table, ch) in enumerate(zip(_graph6_layout(n), s), 1):
         if ch in table:
             continue
@@ -322,7 +353,7 @@ def _graph6_learn(n: int, s: str) -> None:
                     raise Graph6Error("nonzero padding bits", pos)
                 v = (1 + isqrt(1 + 8 * x)) // 2
                 u = x - v * (v - 1) // 2
-                adj |= 1 << n * u + v | 1 << n * v + u
+                adj |= 1 << w * u + v | 1 << w * v + u
         table[ch] = adj
 
 
@@ -362,8 +393,10 @@ def parse_graph6(text: str) -> SimpleGraph:
         _graph6_learn(n, payload)
         # the layout now holds every byte of the line
         return parse_graph6(s)
-    row = (1 << n) - 1
-    return SimpleGraph._from_masks(n, [adj >> n * u & row for u in range(n)])
+    rows = _graph6_rows(n)[1]
+    return SimpleGraph._from_masks(
+        n, rows.unpack(adj.to_bytes(rows.size, "little")), adj.bit_count() // 2
+    )
 
 
 def emit_graph6(g: SimpleGraph) -> str:

@@ -32,6 +32,7 @@ from .graphs import (
     block_shape,
     contains_clique,
     emit_graph6,
+    is_json_int,
     parse_graph6,
 )
 from .recognize import is_gdp_forest, recognize_dirac
@@ -50,6 +51,10 @@ class SweepConfig:
     include_dirac: bool = False
 
     def __post_init__(self):
+        for name in ("k", "max_n", "parallelism"):
+            value = getattr(self, name)
+            if not (is_json_int(value) or name == "max_n" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.k < 3:
             raise ValueError(f"k must be at least 3, got {self.k}")
         if self.regime not in ("perfect", "partial"):

@@ -435,6 +435,14 @@ class TestPartialColoring:
         with pytest.raises(ValueError):
             PartialColoring({0: -1})
 
+    @pytest.mark.parametrize(
+        "picks",
+        [{0.5: 0}, {0: 0.5}, {"a": 0}, {"a": 0, 1: 0}, {True: 0}, {0: None}, [(0, 1), (1.0, 2)]],
+    )
+    def test_rejects_non_int_picks(self, picks):
+        with pytest.raises(ValueError, match="invalid pick"):
+            PartialColoring(picks)
+
     def test_extended_is_a_new_value(self):
         p = PartialColoring({0: 0})
         q = p.extended({1: 1})

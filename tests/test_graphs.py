@@ -1,6 +1,7 @@
 """Graph types, graph6 I/O, blocks, cliques, degree bookkeeping."""
 
 import itertools
+import pickle
 from random import Random
 
 import networkx as nx
@@ -82,6 +83,16 @@ class TestSimpleGraph:
         assert sub.n == 3
         assert sub.edges() == ((0, 1), (0, 2), (1, 2))
 
+    def test_refuses_non_int_counts_and_endpoints(self):
+        with pytest.raises(ValueError, match=r"vertex count must be an int, got 2\.5"):
+            SimpleGraph(2.5)
+        with pytest.raises(ValueError, match="vertex count must be an int, got True"):
+            SimpleGraph(True)
+        with pytest.raises(ValueError, match=r"edge \(0, 1\.0\) must have int endpoints"):
+            SimpleGraph(3, [(0, 1.0)])
+        with pytest.raises(ValueError, match=r"edge \('a', 1\) must have int endpoints"):
+            SimpleGraph(3, [("a", 1)])
+
     def test_induced_refuses_vertices_out_of_range(self):
         with pytest.raises(ValueError, match=r"vertices \[0, 3\] out of range for n=3"):
             SimpleGraph(3, [(0, 1)]).induced([0, 3])
@@ -141,6 +152,16 @@ class TestMultiGraph:
             MultiGraph(2, [(0, 2, 1)])
         with pytest.raises(ValueError, match="vertex 2 out of range for n=2"):
             MultiGraph(2, [(0, 1, 1)]).degree(2)
+
+    def test_refuses_non_int_counts_endpoints_and_multiplicities(self):
+        with pytest.raises(ValueError, match=r"vertex count must be an int, got 3\.0"):
+            MultiGraph(3.0)
+        with pytest.raises(ValueError, match=r"edge \(0, 1, 1\.5\) must have int entries"):
+            MultiGraph(3, [(0, 1, 1.5)])
+        with pytest.raises(ValueError, match=r"edge \(0, 1, True\) must have int entries"):
+            MultiGraph(3, [(0, 1, True)])
+        with pytest.raises(ValueError, match=r"edge \(0\.0, 1, 1\) must have int entries"):
+            MultiGraph(3, [(0.0, 1, 1)])
 
     def test_connectivity_ignores_multiplicity(self):
         assert MultiGraph(2, [(0, 1, 5)]).is_connected()
@@ -266,7 +287,9 @@ class TestGraph6:
 
     def test_matches_the_bit_by_bit_decoder(self):
         # every n of the short form, the edgeless and the complete graph
-        # too, read twice so the second read finds every byte in its table
+        # too, read twice so the second read finds every byte in its table;
+        # the rows take 8-, 16-, 32- or 64-bit words, so n = 8, 16 and 32
+        # fill a width and n = 9, 17 and 33 start the next
         rng = Random(8190)
         for n in range(63):
             graphs = [SimpleGraph(n), SimpleGraph(n, itertools.combinations(range(n), 2))]
@@ -275,7 +298,11 @@ class TestGraph6:
                 s = emit_graph6(g)
                 parsed = parse_graph6(s)
                 assert parsed == reference_parse_graph6(s) == g
-                assert (parsed.m, parsed.degrees()) == (g.m, g.degrees())
+                assert hash(parsed) == hash(g)
+                assert (parsed.m, parsed.degrees(), parsed.edges()) == (g.m, g.degrees(), g.edges())
+                assert all(type(x) is int for x in parsed._nbr)
+                kept = pickle.loads(pickle.dumps(parsed))
+                assert kept == parsed and (kept.m, kept.edges()) == (g.m, g.edges())
 
     def test_every_error_path_matches_the_bit_by_bit_decoder(self):
         # a bad byte at each position, nonzero padding in the last byte,

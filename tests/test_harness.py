@@ -515,6 +515,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(k=3, parallelism=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("k", 3.5), ("k", True), ("max_n", 7.0), ("parallelism", "2")]
+    )
+    def test_refuses_non_int_fields(self, field, value):
+        kwargs = {"k": 3, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+            SweepConfig(**kwargs)
+
     def test_size_caps(self):
         assert SweepConfig(k=3).resolved_max_n() == 9
         assert SweepConfig(k=4).resolved_max_n() == 7
