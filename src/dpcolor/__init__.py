@@ -26,6 +26,7 @@ from .graphs import (
     parse_graph6,
 )
 from .covers import (
+    REGIMES,
     Cover,
     PartialColoring,
     count_covers,

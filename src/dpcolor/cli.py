@@ -20,6 +20,7 @@ from dataclasses import asdict
 from itertools import islice
 
 from .covers import (
+    REGIMES,
     cover_from_json_text,
     cover_to_json_text,
     coloring_to_json_text,
@@ -221,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-covers", help="stream cover JSON, one per line")
     p.add_argument("--graph", required=True, help="graph6 string (connected)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--regime", choices=["perfect", "partial"], default="perfect")
+    p.add_argument("--regime", choices=REGIMES, default="perfect")
     p.add_argument("--limit", type=int, default=None, help="stop after this many covers")
     p.set_defaults(func=_cmd_enumerate_covers)
 
     p = sub.add_parser("verify-dirac", help="sweep graph6 lines for critical covers")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--graphs", required=True, help="file of graph6 lines, or - for stdin")
-    p.add_argument("--regime", choices=["perfect", "partial"], default="perfect")
+    p.add_argument("--regime", choices=REGIMES, default="perfect")
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, one per graph at most")

@@ -105,39 +105,15 @@ def make_multigraph_counterexample(k: int) -> tuple[MultiGraph, Cover]:
     q = k // 3
     mg = MultiGraph(3, [(0, 1, q), (0, 2, 2 * q), (1, 2, 2 * q)])
 
-    def code(j: int, a: int) -> int:
-        return j * q + a
+    def slots(shifts: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+        # slot (d, s) joins label (j, a) to label (j + d mod 3, a + s mod q)
+        labels = [(j, a) for j in range(3) for a in range(q)]
+        return [
+            tuple(sorted((j * q + a, (j + d) % 3 * q + (a + s) % q) for j, a in labels))
+            for d in shifts
+            for s in range(q)
+        ]
 
-    same_j_slots = []
-    for s in range(q):
-        same_j_slots.append(
-            tuple(
-                sorted(
-                    (code(j, a), code(j, (a + s) % q))
-                    for j in range(3)
-                    for a in range(q)
-                )
-            )
-        )
-    diff_j_slots = []
-    for delta in (1, 2):
-        for s in range(q):
-            diff_j_slots.append(
-                tuple(
-                    sorted(
-                        (code(j, a), code((j + delta) % 3, (a + s) % q))
-                        for j in range(3)
-                        for a in range(q)
-                    )
-                )
-            )
-    cover = Cover(
-        mg,
-        [k, k, k],
-        {
-            (0, 1): same_j_slots,
-            (0, 2): diff_j_slots,
-            (1, 2): diff_j_slots,
-        },
-    )
+    same_j, diff_j = slots((0,)), slots((1, 2))
+    cover = Cover(mg, [k, k, k], {(0, 1): same_j, (0, 2): diff_j, (1, 2): diff_j})
     return mg, cover

@@ -24,7 +24,7 @@ import time
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .covers import Cover, cover_from_json_text, cover_to_json_text, is_full_matching
+from .covers import REGIMES, Cover, cover_from_json_text, cover_to_json_text, is_full_matching
 from .graphs import (
     Graph6Error,
     SimpleGraph,
@@ -55,9 +55,13 @@ class SweepConfig:
             value = getattr(self, name)
             if not (is_json_int(value) or name == "max_n" and value is None):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if type(self.include_dirac) is not bool:
+            raise ValueError(f"include_dirac must be a bool, got {self.include_dirac!r}")
         if self.k < 3:
             raise ValueError(f"k must be at least 3, got {self.k}")
-        if self.regime not in ("perfect", "partial"):
+        if self.max_n is not None and self.max_n < 0:
+            raise ValueError(f"max_n must be at least 0, got {self.max_n}")
+        if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
@@ -222,8 +226,11 @@ def revalidate_row(row: DiracReportRow) -> bool:
     """Recheck a refutation row from its serialized witness alone.
 
     The witness must be a critical k-fold cover of the row's graph whose
-    k gives the row's deficit, with full matchings in the perfect regime.
+    k gives the row's deficit, with full matchings in the perfect regime;
+    a row whose regime is not one of ``REGIMES`` is refused.
     """
+    if row.regime not in REGIMES:
+        return False
     if not row.critical_cover_found:
         return row.witness_cover == ""
     try:

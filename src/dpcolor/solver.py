@@ -519,8 +519,11 @@ def chi_dp(g: SimpleGraph, max_k: Optional[int] = None) -> int:
     these covers decide every level.  They are decided in boxes (see
     ``first_critical_cover``), and a level fails at the first box whose
     shared pairs have no coloring.  Disconnected graphs take the maximum
-    over components.
+    over components.  A base that is not a ``SimpleGraph`` raises
+    ValueError, as ``cover_choices`` does.
     """
+    if not isinstance(g, SimpleGraph):
+        raise ValueError(f"chi_dp needs a SimpleGraph base, got {type(g).__name__}")
     if g.n < 1:
         raise ValueError("threshold undefined for the empty graph")
     best = 1

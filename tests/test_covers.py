@@ -22,6 +22,7 @@ from dpcolor import (
     degree_profile,
     enumerate_covers,
     find_coloring,
+    first_critical_cover,
     is_colorable,
     is_independent,
     partial_injections,
@@ -653,13 +654,27 @@ class TestEnumerateCovers:
         with pytest.raises(ValueError, match="unknown regime"):
             count_covers(C4, 2, regime.upper())
 
-    def test_count_covers_is_the_product_of_the_edge_choices(self):
-        # the box search counts covers this way; both must agree everywhere
+    @pytest.mark.parametrize(
+        "func", [count_covers, cover_choices, enumerate_covers, first_critical_cover]
+    )
+    @pytest.mark.parametrize("regime", ["perfect", "partial"])
+    def test_cover_functions_refuse_a_multigraph_and_a_non_int_k(self, func, regime):
+        mg = MultiGraph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 1)])
+        with pytest.raises(ValueError, match="SimpleGraph base, got MultiGraph"):
+            func(mg, 3, regime)
+        for k in (True, 2.0):
+            with pytest.raises(ValueError, match=f"k must be an int, got {k!r}"):
+                func(C4, k, regime)
+
+    def test_count_covers_matches_the_closed_forms(self):
+        # (k!)^(m-n+1) perfect covers, k! choices on each edge off a spanning tree;
+        # P(k)^m partial ones, P(k) = sum_r C(k,r)^2 r! injections per edge
         graphs = [SimpleGraph(1)] + [from_nx(G) for G in atlas_connected(range(2, 6))]
         for g in graphs:
-            for k, regime in itertools.product((1, 2, 3), ("perfect", "partial")):
-                choices = cover_choices(g, k, regime)
-                assert count_covers(g, k, regime) == math.prod(len(opts) for _, opts in choices)
+            for k in (1, 2, 3):
+                per_edge = sum(math.comb(k, r) ** 2 * math.factorial(r) for r in range(k + 1))
+                assert count_covers(g, k, "perfect") == math.factorial(k) ** (g.m - g.n + 1)
+                assert count_covers(g, k, "partial") == per_edge**g.m
 
     def test_all_enumerated_covers_validate(self):
         # each cover passes the constructor's check, and again from its JSON

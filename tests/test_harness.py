@@ -262,6 +262,12 @@ class TestRevalidateRow:
     def test_good_row(self, found):
         assert revalidate_row(found)
 
+    def test_unknown_regime_rejected(self, found):
+        assert not revalidate_row(dataclasses.replace(found, regime="bogus"))
+        no_witness = dataclasses.replace(found, critical_cover_found=False, witness_cover="")
+        assert revalidate_row(no_witness)
+        assert not revalidate_row(dataclasses.replace(no_witness, regime="bogus"))
+
     def test_witness_removed(self, found):
         assert not revalidate_row(dataclasses.replace(found, witness_cover=""))
 
@@ -522,6 +528,17 @@ class TestSweepConfig:
         kwargs = {"k": 3, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
             SweepConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_refuses_a_non_bool_include_dirac(self, value):
+        # "no" is truthy: it would sweep the 3-Dirac graphs it means to skip
+        with pytest.raises(ValueError, match=f"include_dirac must be a bool, got {value!r}"):
+            SweepConfig(k=3, include_dirac=value)
+
+    def test_refuses_a_negative_max_n(self):
+        with pytest.raises(ValueError, match="max_n must be at least 0, got -1"):
+            SweepConfig(k=3, max_n=-1)
+        assert SweepConfig(k=3, max_n=0).resolved_max_n() == 0
 
     def test_size_caps(self):
         assert SweepConfig(k=3).resolved_max_n() == 9

@@ -11,6 +11,7 @@ import dpcolor.solver
 from dpcolor import (
     Cover,
     GDPCertificate,
+    MultiGraph,
     PartialColoring,
     SearchStats,
     SimpleGraph,
@@ -173,6 +174,11 @@ class TestChiDp:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             chi_dp(SimpleGraph(0, []))
+
+    def test_multigraph_base_rejected(self):
+        mg = MultiGraph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 1)])
+        with pytest.raises(ValueError, match="SimpleGraph base, got MultiGraph"):
+            chi_dp(mg)
 
     def test_edge_deletion_monotone(self):
         rng = Random(77)
