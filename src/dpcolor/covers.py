@@ -31,8 +31,10 @@ A cover is stored as the neighbor lists the solver searches, built in
 the one pass that checks each matching: ``adj[u]`` holds a ``(v, rows)``
 pair per neighbor v, ascending, where ``rows[i]`` is the bitmask of the
 colors of v matched to color i of u, the union over parallel edges.  Bit
-j stands for color j.  What a partial coloring leaves each vertex is
-read in one place, ``_colors_left``.
+j stands for color j.  These lists, ``Adjacency``, are the one table
+form of the package: the solver's box search keeps its tables in it
+too.  What a partial coloring leaves each vertex is read in one place,
+``_colors_left``.
 
 A cover's canonical JSON text has one writer, ``cover_to_json_text``,
 which reads it straight off these rows; ``cover_to_json`` is that text
@@ -62,11 +64,9 @@ Matching = tuple[tuple[int, int], ...]
 # per edge of a graph, the matchings it ranges over in cover enumeration
 EdgeChoices = tuple[tuple[tuple[int, int], tuple[Matching, ...]], ...]
 
-# conf[u][v][i]: bitmask of the colors of v matched to color i of u
-ConflictTables = list[dict[int, list[int]]]
-
-# adj[u]: a (v, conf[u][v]) pair for each neighbor v of u, in table order
-Adjacency = Sequence[Iterable[tuple[int, list[int]]]]
+# adj[u]: a (v, rows) pair for each neighbor v of u, ascending, where rows[i]
+# is the bitmask of the colors of v matched to color i of u
+Adjacency = list[list[tuple[int, list[int]]]]
 
 # one matching of the pair (u, v) as its rows u -> v and v -> u; per pair, each
 # slot's rows, or None for a slot not given
@@ -204,7 +204,7 @@ class Cover:
         """
         self.base = base
         self.list_size = sizes
-        adj: list[list[tuple[int, list[int]]]] = [[] for _ in range(base.n)]
+        adj: Adjacency = [[] for _ in range(base.n)]
         parallel: dict[tuple[int, int], tuple[_SlotRows, ...]] = {}
         for (u, v), t in mult.items():
             size_u, size_v = sizes[u], sizes[v]
@@ -246,7 +246,7 @@ class Cover:
         return tuple([(u, v) for u, nbrs in enumerate(self._adj) for v, _ in nbrs if v > u])
 
     def _rows(self, u: int, v: int) -> list[int]:
-        """conf[u][v]: the union of the pair's matchings as rows u -> v."""
+        """The union of the pair's matchings as rows u -> v."""
         for w, row in self._adj[u] if 0 <= u < self.n else ():
             if w == v:
                 return row
@@ -262,27 +262,12 @@ class Cover:
             [tuple([(i, row.bit_length() - 1) for i, row in enumerate(r) if row]) for r in rows]
         )
 
-    def h_edges(self, u: int, v: int) -> frozenset[tuple[int, int]]:
-        """Union of the pair's matchings as (color of u, color of v) pairs."""
-        return frozenset((i, j) for i, row in enumerate(self._rows(u, v)) for j in _bits(row))
-
-    def conflict_tables(self) -> ConflictTables:
-        """The neighbor lists as dicts, conf[u][v][i] as bitmasks, built afresh.
-
-        The row lists are shared with the cover; callers must not modify them.
-        """
-        return [dict(nbrs) for nbrs in self._adj]
-
-    def matched_mask(self, u: int, v: int, i: int) -> int:
-        """Bitmask of the colors of v joined to color i of u (0 if none)."""
+    def matched_colors(self, u: int, v: int, i: int) -> tuple[int, ...]:
+        """Colors of v joined to color i of u (empty if none, or if u, v or i is out of range)."""
         for w, row in self._adj[u] if 0 <= u < self.n else ():
             if w == v and 0 <= i < len(row):
-                return row[i]
-        return 0
-
-    def matched_colors(self, u: int, v: int, i: int) -> tuple[int, ...]:
-        """Colors of v joined to color i of u (empty if none)."""
-        return _bits(self.matched_mask(u, v, i))
+                return _bits(row[i])
+        return ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cover):

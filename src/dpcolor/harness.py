@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import logging
+import re
 import string
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -350,13 +351,21 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+# the number cells _cell writes, ASCII digits after an optional minus; int() and
+# float() would also take spaces, a plus, underscores, other scripts' digits, nan and inf
+_NUMBER_CELLS = {"int": re.compile(r"-?[0-9]+"), "float": re.compile(r"-?[0-9]+(\.[0-9]+)?")}
+
+
 def _decode(cell: str, kind: str) -> object:
     """The value a report cell written by ``_cell`` holds, given its field's type name."""
     if kind == "bool":
         if cell not in ("true", "false"):
             raise ValueError(f"{cell!r} is not true or false")
         return cell == "true"
-    return {"str": str, "int": int, "float": float}[kind](cell)
+    value = {"str": str, "int": int, "float": float}[kind](cell)
+    if kind in _NUMBER_CELLS and not _NUMBER_CELLS[kind].fullmatch(cell):
+        raise ValueError(f"{kind} cell {cell!r} is not written in ASCII digits")
+    return value
 
 
 def emit_report(

@@ -9,8 +9,8 @@ matching pair joins it to the current pick.  All answers are exact;
 instances are expected to be desk scale (n at most about 13).
 
 The search walks a list of (neighbor, rows) pairs per vertex: a
-``Cover`` is stored as these lists, and a box search reads live
-``items()`` views of the tables it patches, so no search builds them.
+``Cover`` is stored as these lists, and a box search keeps its tables
+as such lists and patches them in place, so no search builds them.
 A seed's picks start it from the colors ``_colors_left`` reads.  A pick
 that would empty a neighbor's colors is refused before any mask is
 written, and every pick's removals go on one trail that an undo pops
@@ -74,7 +74,6 @@ from typing import Iterable, Iterator, Optional
 
 from .covers import (
     Adjacency,
-    ConflictTables,
     Cover,
     PartialColoring,
     _bits,
@@ -105,11 +104,11 @@ def _search(
 ) -> Optional[dict[int, int]]:
     """Pick a color for every vertex of todo, or None if impossible.
 
-    adj[u] holds a (v, conf[u][v]) pair for each neighbor v of u, in
-    table order: a cover's lists, or the ``items()`` views of a table
-    set.  avail[u] is the bitmask of u's surviving colors; the search
-    consumes it.  Vertices outside todo are ignored.  Nodes expanded are
-    added to stats.
+    adj[u] lists a (v, rows) pair per neighbor v of u, ascending, rows[i]
+    the mask of v's colors matched to color i of u: a cover's ``_adj`` or
+    a box search's table set.  avail[u] is the bitmask of u's surviving
+    colors; the search consumes it.  Vertices outside todo are ignored.
+    Nodes expanded are added to stats.
 
     A pick that would empty a free neighbor's colors is refused before
     any mask is written, so every free vertex keeps a color: once no
@@ -284,16 +283,16 @@ class _BoxSearch:
 
     An edge's shared rows, union rows and live colors on a domain are
     built in one pass over its ``holds`` and memoised on the instance,
-    for one call, shared by the edges with the same options.  The
-    instance writes every edge's rows once, in edge order, when it is
-    built, so the dicts iterate in edge order; after that ``load`` is
-    the one writer of both table sets.  It keeps one list of the domain
-    each edge holds in them and the rows it was loaded with, rewrites
-    both sets only on the edges whose domain changed, usually one or
-    two, and reads the live colors afresh off the loaded rows.  ``load``
-    and the split walk only the edges with more than one option, since
-    an edge with one option keeps its one domain, holds no killer and
-    is never spared.  Boxes keep an entry for every edge.
+    for one call, shared by the edges with the same options.  Both table
+    sets are neighbor lists, built in edge order with the instance, so
+    each ascends as a ``Cover``'s does; after that ``load`` is the one
+    writer of both.  It keeps the domain each edge holds in them and the
+    rows it was loaded with, rewrites both sets only on the edges whose
+    domain changed, usually one or two, at the fixed place each holds in
+    its endpoints' lists, and reads the live colors afresh off the loaded
+    rows.  ``load`` and the split walk only the edges with more than one
+    option, since an edge with one option keeps its one domain, holds no
+    killer and is never spared.  Boxes keep an entry for every edge.
 
     The instance counts the boxes it decides, the uncolorable ones among
     them, the spared ones, whose phi came from the union tables, and the
@@ -328,24 +327,24 @@ class _BoxSearch:
             kind, masks = kinds[options]
             self.holds.append(masks)
             self._kind.append(kind)
-        # the shared and the union table sets, the domain each edge holds in
-        # both, and the rows it was loaded with
-        self.conf: ConflictTables = [{} for _ in range(g.n)]
-        self.union: ConflictTables = [{} for _ in range(g.n)]
-        # their neighbor lists for the search: live views, which see every load
-        self._conf_adj = [row.items() for row in self.conf]
-        self._union_adj = [row.items() for row in self.union]
+        # the shared and the union table sets as neighbor lists, the domain
+        # each edge holds in both, and the rows it was loaded with
+        self.conf: Adjacency = [[] for _ in range(g.n)]
+        self.union: Adjacency = [[] for _ in range(g.n)]
         self._held = [(1 << len(options)) - 1 for _, options in self.choices]
         self._loaded = [self._edge_rows(p, dom) for p, dom in enumerate(self._held)]
-        # every edge's rows once, in edge order, so the dicts iterate in edge order
-        for ((u, v), _), (shared, spare, _, _) in zip(self.choices, self._loaded):
-            self.conf[u][v], self.conf[v][u] = shared
-            self.union[u][v], self.union[v][u] = spare or shared
-        # the edges with more than one option: no other edge's domain ever
-        # changes, no other edge holds a killer, and no other edge is spared
-        self._free = [
-            (p, u, v) for p, ((u, v), options) in enumerate(self.choices) if len(options) > 1
-        ]
+        # the edges with more than one option and their places in their ends'
+        # lists: no other edge's domain changes, holds a killer or is spared
+        self._free: list[tuple[int, int, int, int, int]] = []
+        for p, ((u, v), options) in enumerate(self.choices):
+            if len(options) > 1:
+                self._free.append((p, u, v, len(self.conf[u]), len(self.conf[v])))
+            shared, spare, _, _ = self._loaded[p]
+            (fwd, bwd), (spare_fwd, spare_bwd) = shared, spare or shared
+            self.conf[u].append((v, fwd))
+            self.conf[v].append((u, bwd))
+            self.union[u].append((v, spare_fwd))
+            self.union[v].append((u, spare_bwd))
 
     def load(self, box: list[int]) -> Optional[list[int]]:
         """Load a box into ``conf``, its shared tables, and ``union``, its union tables.
@@ -366,13 +365,14 @@ class _BoxSearch:
         conf, union, held, loaded = self.conf, self.union, self._held, self._loaded
         live = [(1 << self.k) - 1] * len(conf)
         spared = False
-        for p, u, v in self._free:
+        for p, u, v, at_u, at_v in self._free:
             dom = box[p]
             if held[p] != dom:
                 held[p] = dom
                 loaded[p] = shared, spare, live_u, live_v = self._edge_rows(p, dom)
-                conf[u][v], conf[v][u] = shared
-                union[u][v], union[v][u] = spare or shared
+                (fwd, bwd), (spare_fwd, spare_bwd) = shared, spare or shared
+                conf[u][at_u], conf[v][at_v] = (v, fwd), (u, bwd)
+                union[u][at_u], union[v][at_v] = (v, spare_fwd), (u, spare_bwd)
             else:
                 _, spare, live_u, live_v = loaded[p]
             if spare is not None:
@@ -428,17 +428,17 @@ class _BoxSearch:
                 continue
             self.boxes += 1
             live = self.load(box)
-            phi = None if live is None else _search(self._union_adj, live, range(n), self.stats)
+            phi = None if live is None else _search(self.union, live, range(n), self.stats)
             if phi is not None:
                 self.spared += 1
             else:
-                phi = _search(self._conf_adj, [full] * n, range(n), self.stats)
+                phi = _search(self.conf, [full] * n, range(n), self.stats)
             if phi is None:
                 self.uncolorable += 1
                 yield box, None
                 continue
             children = []
-            for p, u, v in self._free:
+            for p, u, v, _, _ in self._free:
                 kill = box[p] & self.holds[p][phi[u] * k + phi[v]]
                 if kill:
                     child = list(box)
@@ -689,11 +689,10 @@ def certificate_is_valid(g: SimpleGraph, c: Cover, cert: GDPCertificate) -> bool
         return False
     if tuple(sorted(bd.cut_vertices)) != cert.cut_vertices:
         return False
-    found = {vs: kind for kind, vs in cert.blocks}
     actual = {tuple(sorted(b)) for b in bd.blocks}
-    if set(found) != actual:
+    if {vs for _, vs in cert.blocks} != actual:
         return False
-    for vs, kind in found.items():
+    for kind, vs in cert.blocks:
         # a triangle is both, and either kind certifies it
         shape = block_shape(g, vs)
         if shape is None or not (kind == shape or kind == "cycle" and len(vs) == 3):

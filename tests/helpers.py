@@ -34,10 +34,15 @@ from dpcolor import (
     cover_choices,
     residual_list,
 )
-from dpcolor.covers import ConflictTables, EdgeChoices, Matching
+from dpcolor.covers import EdgeChoices, Matching
 from dpcolor.graphs import BaseGraph, block_decomposition, emit_graph6
 from dpcolor.harness import ComponentCheck, CriticalStructureReport
 from dpcolor.solver import _search, is_critical
+
+
+# conf[u][v][i]: bitmask of the colors of v matched to color i of u; the dict
+# form of a cover's tables that the oracles here build
+ConflictTables = list[dict[int, list[int]]]
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -78,9 +83,18 @@ def atlas_connected(sizes) -> list[nx.Graph]:
 # brute-force coloring oracles
 
 
+def matched_pairs(c, u: int, v: int) -> frozenset[tuple[int, int]]:
+    """The union of the pair's matchings as (color of u, color of v) pairs.
+
+    Read off ``slot_matchings``, so it serves a ``Cover`` and a
+    ``ReferenceCover`` alike.
+    """
+    return frozenset(p for m in c.slot_matchings(u, v) for p in m)
+
+
 def brute_force_colorings(c: Cover) -> list[tuple[int, ...]]:
     """Every full assignment avoiding all matched pairs, by direct product scan."""
-    constraints = [(u, v, set(c.h_edges(u, v))) for u, v in c.edge_pairs()]
+    constraints = [(u, v, matched_pairs(c, u, v)) for u, v in c.edge_pairs()]
     hits = []
     for combo in itertools.product(*[range(c.size(u)) for u in range(c.n)]):
         if all((combo[u], combo[v]) not in h for u, v, h in constraints):
@@ -97,7 +111,7 @@ def first_brute_force_coloring(c: Cover) -> tuple[int, ...] | None:
     """
     earlier: list[list[tuple[int, set]]] = [[] for _ in range(c.n)]
     for u, v in c.edge_pairs():
-        earlier[v].append((u, set(c.h_edges(u, v))))
+        earlier[v].append((u, matched_pairs(c, u, v)))
     combo: list[int] = []
 
     def extend(v: int) -> bool:
@@ -130,7 +144,7 @@ def brute_force_survives_deletions(c: Cover) -> bool:
     """Every one-vertex deletion of c is colorable, by a pruned product scan per deletion."""
     earlier: list[list[tuple[int, set]]] = [[] for _ in range(c.n)]
     for u, v in c.edge_pairs():
-        earlier[v].append((u, set(c.h_edges(u, v))))
+        earlier[v].append((u, matched_pairs(c, u, v)))
     combo = [0] * c.n
 
     def colorable_without(gone: int, v: int = 0) -> bool:
@@ -199,9 +213,6 @@ class ReferenceCover:
             return self.slots[(u, v)]
         return tuple(tuple(sorted((j, i) for i, j in m)) for m in self.slots[(v, u)])
 
-    def h_edges(self, u: int, v: int) -> frozenset[tuple[int, int]]:
-        return frozenset(p for m in self.slot_matchings(u, v) for p in m)
-
     def conflict_tables(self) -> ConflictTables:
         conf: ConflictTables = [{} for _ in range(self.base.n)]
         for (u, v), slots in self.slots.items():
@@ -209,7 +220,7 @@ class ReferenceCover:
         return conf
 
     def is_full_matching(self, u: int, v: int) -> bool:
-        pairs = self.h_edges(u, v)
+        pairs = matched_pairs(self, u, v)
         return (
             len(pairs) == self.sizes[u]
             and {i for i, _ in pairs} == set(range(self.sizes[u]))

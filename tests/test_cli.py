@@ -23,6 +23,8 @@ from dpcolor.cli import main
 from dpcolor.construct import make_c4_covers, make_dirac, make_wheel
 from dpcolor.graphs import SimpleGraph
 
+from helpers import matched_pairs
+
 
 C4_G6 = emit_graph6(SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 C5_G6 = emit_graph6(SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
@@ -53,7 +55,7 @@ def coloring_satisfies(cover, pairs):
     picks = dict(pairs)
     assert sorted(picks) == list(range(cover.base.n))
     for u, v in cover.edge_pairs():
-        assert (picks[u], picks[v]) not in cover.h_edges(u, v)
+        assert (picks[u], picks[v]) not in matched_pairs(cover, u, v)
 
 
 class TestSolve:

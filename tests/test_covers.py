@@ -42,6 +42,7 @@ from helpers import (
     atlas_connected,
     brute_force_colorings,
     from_nx,
+    matched_pairs,
     random_connected_graph,
     random_cover,
     random_multigraph,
@@ -72,7 +73,7 @@ class TestCoverConstruction:
 
     def test_missing_edges_get_empty_matchings(self):
         c = Cover(C4, [2] * 4, {})
-        assert all(c.h_edges(u, v) == frozenset() for u, v in c.edge_pairs())
+        assert all(matched_pairs(c, u, v) == frozenset() for u, v in c.edge_pairs())
 
     def test_rejects_non_edges(self):
         with pytest.raises(ValueError):
@@ -86,7 +87,7 @@ class TestCoverConstruction:
         a = Cover(C4, [2] * 4, {(0, 1): [(0, 1)]})
         b = Cover(C4, [2] * 4, {(1, 0): [(1, 0)]})
         assert a == b
-        assert a.h_edges(0, 1) == frozenset({(0, 1)})
+        assert matched_pairs(a, 0, 1) == frozenset({(0, 1)})
 
     def test_matched_colors_oriented_both_ways(self):
         c = Cover(C4, [2] * 4, {(0, 1): [(0, 1)]})
@@ -99,7 +100,7 @@ class TestCoverConstruction:
         g = MultiGraph(2, [(0, 1, 2)])
         c = Cover(g, [2, 2], {(0, 1): [[(0, 0)], [(1, 1)]]})
         assert c.slot_matchings(0, 1) == (((0, 0),), ((1, 1),))
-        assert set(c.h_edges(0, 1)) == {(0, 0), (1, 1)}
+        assert matched_pairs(c, 0, 1) == {(0, 0), (1, 1)}
         with pytest.raises(ValueError):
             Cover(g, [2, 2], {(0, 1): [[(0, 0)]]})  # one matching for two parallel edges
 
@@ -381,12 +382,12 @@ class TestCoverFromLists:
         g = SimpleGraph(2, [(0, 1)])
         c = cover_from_lists(g, [[1, 2, 3], [2, 3, 4]])
         # sorted lists: indices 0,1,2 name colors in order; 2 and 3 are shared
-        assert set(c.h_edges(0, 1)) == {(1, 0), (2, 1)}
+        assert matched_pairs(c, 0, 1) == {(1, 0), (2, 1)}
 
     def test_disjoint_lists_give_empty_matching(self):
         g = SimpleGraph(2, [(0, 1)])
         c = cover_from_lists(g, [[1], [2]])
-        assert c.h_edges(0, 1) == frozenset()
+        assert matched_pairs(c, 0, 1) == frozenset()
         assert len(brute_force_colorings(c)) == 1
 
     def test_repeated_colors_rejected(self):
@@ -401,7 +402,7 @@ class TestCoverFromLists:
     def test_identity_lists_make_identity_matchings(self):
         c = identity_cover(K3, 3)
         for u, v in c.edge_pairs():
-            assert c.h_edges(u, v) == frozenset({(0, 0), (1, 1), (2, 2)})
+            assert matched_pairs(c, u, v) == frozenset({(0, 0), (1, 1), (2, 2)})
 
     def test_faithful_to_list_coloring_counts(self):
         rng = Random(6023)
@@ -545,8 +546,8 @@ class TestReadingAPartialColoring:
             p = PartialColoring(picks)
             joined = {}
             for u, v in c.edge_pairs():
-                joined[u, v] = c.h_edges(u, v)
-                joined[v, u] = c.h_edges(v, u)
+                joined[u, v] = matched_pairs(c, u, v)
+                joined[v, u] = matched_pairs(c, v, u)
             independent = all(
                 (i, picks[w]) not in joined.get((v, w), ())
                 for v, i in picks.items()
@@ -684,7 +685,7 @@ class TestEnumerateCovers:
     def test_spanning_tree_edges_pinned_to_identity(self):
         for c in enumerate_covers(C4, 2, "perfect"):
             identity_edges = sum(
-                c.h_edges(u, v) == frozenset({(0, 0), (1, 1)}) for u, v in c.edge_pairs()
+                matched_pairs(c, u, v) == frozenset({(0, 0), (1, 1)}) for u, v in c.edge_pairs()
             )
             assert identity_edges >= 3  # n-1 tree edges out of 4
 
@@ -740,14 +741,14 @@ class TestRelabelColors:
             c = random_cover(rng, g, [k] * g.n)
             edges = c.edge_pairs()
             u, v = edges[rng.randrange(len(edges))]
-            current = set(c.h_edges(u, v))
+            current = matched_pairs(c, u, v)
             free_i = set(range(k)) - {i for i, _ in current}
             free_j = set(range(k)) - {j for _, j in current}
             if not free_i or not free_j:
                 continue
             grown = dict.fromkeys(edges)
             for e in edges:
-                grown[e] = list(c.h_edges(*e))
+                grown[e] = list(matched_pairs(c, *e))
             grown[(u, v)].append((min(free_i), min(free_j)))
             bigger = Cover(g, c.list_size, grown)
             before = {tuple(t) for t in brute_force_colorings(bigger)}

@@ -114,7 +114,7 @@ def count_searches(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("name, cover", PLANTED, ids=[name for name, _ in PLANTED])
 def test_deletion_test_matches_the_oracles_on_the_planted_covers(name, cover):
-    conf = cover.conflict_tables()
+    conf = [dict(nbrs) for nbrs in cover._adj]
     got = _survives_every_deletion(cover._adj, cover.list_size)
     assert got == deletion_test_by_vertex(conf, cover.list_size)
     assert got == brute_force_survives_deletions(cover)
@@ -125,7 +125,7 @@ def test_deletion_test_matches_the_oracles_on_random_covers():
     covers = random_covers(8080, 300)
     verdicts = set()
     for cover in covers:
-        conf = cover.conflict_tables()
+        conf = [dict(nbrs) for nbrs in cover._adj]
         got = _survives_every_deletion(cover._adj, cover.list_size)
         assert got == deletion_test_by_vertex(conf, cover.list_size)
         assert got == brute_force_survives_deletions(cover)

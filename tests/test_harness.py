@@ -407,8 +407,32 @@ class TestReports:
             ("EtTg,6,9,-1,false,false,perfect,False,,1296,0.1", "'False' is not true or false"),
             ("EtTg,six,9,-1,false,false,perfect,false,,1296,0.1", "invalid literal for int"),
             ("EtTg,6,9,-1,false,false,perfect,false,,1296,soon", "could not convert"),
+            # int() and float() take each of these, but _cell never writes them
+            ("EtTg,\u0665,9,-1,false,false,perfect,false,,1296,0.1", "int cell '\u0665' is not"),
+            ("EtTg, 6,9,-1,false,false,perfect,false,,1296,0.1", "int cell ' 6' is not"),
+            ("EtTg,6,9,-1,false,false,perfect,false,,1_296,0.1", "int cell '1_296' is not"),
+            ("EtTg,+6,9,-1,false,false,perfect,false,,1296,0.1", "int cell '+6' is not"),
+            ("EtTg,6,9,-1,false,false,perfect,false,,1296,nan", "float cell 'nan' is not"),
+            ("EtTg,6,9,-1,false,false,perfect,false,,1296,inf", "float cell 'inf' is not"),
+            ("EtTg,6,9,-1,false,false,perfect,false,,1296,0.\u0661", "float cell '0.\u0661' is not"),
+            ("EtTg,6,9,-1,false,false,perfect,false,,1296,0_0.1", "float cell '0_0.1' is not"),
         ],
-        ids=["short", "long", "bool-maybe", "bool-capitalized", "int", "float"],
+        ids=[
+            "short",
+            "long",
+            "bool-maybe",
+            "bool-capitalized",
+            "int",
+            "float",
+            "int-arabic-indic",
+            "int-space",
+            "int-underscore",
+            "int-plus",
+            "float-nan",
+            "float-inf",
+            "float-arabic-indic",
+            "float-underscore",
+        ],
     )
     def test_malformed_record_names_its_line(self, record, problem):
         good = "Dl{,5,8,0,false,false,perfect,false,,1296,0.009081"

@@ -11,7 +11,7 @@ brute force, with orbits found by relabeling every cover, stay here.
 """
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import prod
 from pathlib import Path
 from random import Random
@@ -413,7 +413,7 @@ def test_each_box_verdict_holds_on_its_covers(regime, k):
 
 
 def entries(conf) -> list[list]:
-    """Every row of a table set in dict order: what a search reads."""
+    """A dict table set as neighbor lists, in dict order: what a search would read."""
     return [list(nbrs.items()) for nbrs in conf]
 
 
@@ -421,7 +421,7 @@ def entries(conf) -> list[list]:
 def test_patched_tables_match_tables_built_from_scratch(regime, k):
     # one load patches both table sets on the edges whose domain changed;
     # each load must still give what building afresh gives, row for row
-    # and in dict order, with the same live colors or None: on the boxes
+    # and in list order, with the same live colors or None: on the boxes
     # the search decides, on each box it yields (cut down to the covers
     # phi colors), and on the one-bit boxes of each uncolorable box
     outcomes = Counter()
@@ -433,8 +433,8 @@ def test_patched_tables_match_tables_built_from_scratch(regime, k):
         def checked_load(box):
             live = load(box)
             shared, union, want = box_tables_from_scratch(boxes.choices, g.n, k, box)
-            assert entries(boxes.conf) == entries(shared)
-            assert entries(boxes.union) == entries(union)
+            assert boxes.conf == entries(shared)
+            assert boxes.union == entries(union)
             assert live == want
             outcomes[live is None] += 1
             return live
@@ -453,6 +453,24 @@ def test_patched_tables_match_tables_built_from_scratch(regime, k):
     # two permutations of [2] match all four pairs: no union tables at perfect k = 2
     assert outcomes[True] > 0
     assert (outcomes[False] > 0) == ((regime, k) != ("perfect", 2))
+
+
+@pytest.mark.parametrize(
+    "g6, k, regime, limit", [("Dl{", 3, "perfect", 200), ("Bw", 2, "partial", None)]
+)
+def test_one_option_boxes_load_the_neighbor_lists_of_their_cover(g6, k, regime, limit):
+    # a box with one option per edge holds one cover: both table sets must
+    # then be that Cover's neighbor lists, entry for entry, in its order,
+    # and no edge can be spared; the boxes are loaded in turn, in cover
+    # order, so most loads patch a few edges of the last
+    g = parse_graph6(g6)
+    boxes = _BoxSearch(g, k, regime)
+    loaded = 0
+    for digits in islice(product(*(range(len(options)) for _, options in boxes.choices)), limit):
+        assert boxes.load([1 << d for d in digits]) is None
+        assert boxes.conf == boxes.union == box_cover(g, k, boxes.choices, digits)._adj
+        loaded += 1
+    assert loaded == (limit or count_covers(g, k, regime))
 
 
 def permutation_domain(options, perms) -> int:
@@ -479,9 +497,9 @@ def test_union_rows_stand_in_for_shared_rows_only_on_edges_that_can_be_spared():
     live = boxes.load(box)
     shared, union = boxes.conf, boxes.union
 
-    def rows(conf, p):
+    def rows(tables, p):
         u, v = boxes.choices[p][0]
-        return conf[u][v], conf[v][u]
+        return dict(tables[u])[v], dict(tables[v])[u]
 
     for p in one:
         # a one-option edge has the same rows in both tables
@@ -568,7 +586,7 @@ def test_witness_path_makes_no_whole_cover_search(name, monkeypatch):
 
     def counted(adj, avail, todo, stats):
         todo = list(todo)
-        if len(todo) == g.n and adj is not boxes._conf_adj and adj is not boxes._union_adj:
+        if len(todo) == g.n and adj is not boxes.conf and adj is not boxes.union:
             whole.append(todo)
         return search(adj, avail, todo, stats)
 

@@ -31,7 +31,9 @@ from dpcolor.solver import SearchStats, _BoxSearch, _search
 
 from helpers import (
     ReferenceCover,
+    box_tables_from_scratch,
     brute_force_colorings,
+    matched_pairs,
     random_connected_graph,
     random_cover,
     reference_search,
@@ -113,7 +115,7 @@ def test_cover_is_well_formed_or_not_built(args):
     for u, v in c.edge_pairs():
         for a, b in ((u, v), (v, u)):
             read_back = {(i, j) for i in range(c.size(a)) for j in c.matched_colors(a, b, i)}
-            assert c.h_edges(a, b) == read_back
+            assert matched_pairs(c, a, b) == read_back
 
 
 @st.composite
@@ -150,12 +152,12 @@ def cover_specs(draw):
 
 
 def _agrees_with(c, ref: ReferenceCover) -> None:
-    assert c.conflict_tables() == ref.conflict_tables()
+    assert [dict(nbrs) for nbrs in c._adj] == ref.conflict_tables()
     assert cover_to_json_text(c) == json.dumps(ref.to_json(), separators=(",", ":"))
     for u, v in ref.slots:
         for a, b in ((u, v), (v, u)):
             assert c.slot_matchings(a, b) == ref.slot_matchings(a, b)
-            assert c.h_edges(a, b) == ref.h_edges(a, b)
+            assert matched_pairs(c, a, b) == matched_pairs(ref, a, b)
             assert is_full_matching(c, a, b) == ref.is_full_matching(a, b)
 
 
@@ -391,23 +393,26 @@ def assert_same_search(conf, adjs, avail, todo) -> None:
 @given(search_instances())
 def test_search_matches_the_dict_table_search(instance):
     c, avail, todo = instance
-    conf = c.conflict_tables()
-    assert_same_search(conf, [c._adj, [row.items() for row in conf]], avail, todo)
+    conf = [dict(nbrs) for nbrs in c._adj]
+    assert_same_search(conf, [c._adj], avail, todo)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), st.data())
 def test_box_searches_match_the_dict_table_search(rnd, data):
-    # a few boxes loaded in turn, so the views must see each load's patches
+    # a few boxes loaded in turn, so the patched lists must search as the
+    # dict tables built afresh for each box do
     g = random_connected_graph(rnd, data.draw(st.integers(2, 5)), extra_p=0.4)
     k = data.draw(st.integers(2, 3))
     boxes = _BoxSearch(g, k, data.draw(st.sampled_from(["perfect", "partial"])))
     for _ in range(data.draw(st.integers(1, 4))):
         box = [data.draw(st.integers(1, (1 << len(options)) - 1)) for _, options in boxes.choices]
         live = boxes.load(box)
-        assert_same_search(boxes.conf, [boxes._conf_adj], [(1 << k) - 1] * g.n, range(g.n))
+        shared, union, want = box_tables_from_scratch(boxes.choices, g.n, k, box)
+        assert live == want
+        assert_same_search(shared, [boxes.conf], [(1 << k) - 1] * g.n, range(g.n))
         if live is not None:
-            assert_same_search(boxes.union, [boxes._union_adj], live, range(g.n))
+            assert_same_search(union, [boxes.union], live, range(g.n))
 
 
 @st.composite

@@ -472,6 +472,8 @@ class TestColorDegreeCover:
         [
             {"blocks": (("path", (0, 1, 2)), ("clique", (0, 3, 4)))},
             {"blocks": (("clique", (0, 1, 2)),)},
+            # a block named twice, once with a kind it does not have
+            {"blocks": (("path", (0, 1, 2)), ("clique", (0, 1, 2)), ("clique", (0, 3, 4)))},
             {"cut_vertices": ()},
             {"cut_vertices": (0, 1)},
             {"degree_tight": False},
@@ -483,6 +485,7 @@ class TestColorDegreeCover:
         ids=[
             "unknown-kind",
             "block-missing",
+            "block-twice",
             "cut-dropped",
             "cut-added",
             "not-tight",
