@@ -18,11 +18,13 @@ Vertex layouts are fixed so the outputs are reproducible:
 from __future__ import annotations
 
 from .covers import Cover, cover_from_lists
-from .graphs import MultiGraph, SimpleGraph
+from .graphs import MultiGraph, SimpleGraph, is_json_int
 
 
 def make_dirac(k: int, a: int) -> SimpleGraph:
     """The k-Dirac graph whose ends receive a and k - a big-clique vertices."""
+    if not (is_json_int(k) and is_json_int(a)):
+        raise ValueError(f"k and a must be ints, got {k!r} and {a!r}")
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     if not 1 <= a <= k - 1:
@@ -46,6 +48,8 @@ def make_ks_example(k: int) -> tuple[SimpleGraph, list[list[int]]]:
     which rules out a Dirac-type bound for list instances once cliques
     of size k+1 are allowed.
     """
+    if not is_json_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     a = list(range(k + 1))
@@ -82,6 +86,8 @@ def make_c4_covers() -> tuple[Cover, Cover]:
 
 def make_wheel(r: int) -> SimpleGraph:
     """Wheel: a cycle 0..r-1 plus a hub (vertex r) adjacent to all of it."""
+    if not is_json_int(r):
+        raise ValueError(f"the rim size must be an int, got {r!r}")
     if r < 3:
         raise ValueError(f"the rim needs at least 3 vertices, got {r}")
     edges = [(i, (i + 1) % r) for i in range(r)]

@@ -518,6 +518,8 @@ class DegreeProfile:
 
 
 def degree_profile(g: BaseGraph, k: int) -> DegreeProfile:
+    if not is_json_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     degs = g.degrees()
@@ -556,6 +558,8 @@ def _first_clique(nbr: Sequence[int], t: int) -> int:
 
 def contains_clique(g: SimpleGraph, t: int) -> bool:
     """Exact test for a clique on t vertices (the branch and bound of ``_first_clique``)."""
+    if not is_json_int(t):
+        raise ValueError(f"clique size must be an int, got {t!r}")
     if t < 1:
         raise ValueError(f"clique size must be at least 1, got {t}")
     return _first_clique(g._nbr, t) != 0

@@ -112,6 +112,8 @@ def candidate_filter(g: SimpleGraph, k: int, include_dirac: bool = False) -> Opt
     on k+1 vertices and k-Dirac graphs are the two excluded families
     (the latter kept when ``include_dirac`` is set).
     """
+    if not is_json_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     if not g.is_connected():

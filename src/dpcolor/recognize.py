@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import BaseGraph, SimpleGraph, _bits, _first_clique, block_decomposition, block_shape
+from .graphs import (
+    BaseGraph,
+    SimpleGraph,
+    _bits,
+    _first_clique,
+    block_decomposition,
+    block_shape,
+    is_json_int,
+)
 
 
 def is_gallai_forest(g: SimpleGraph) -> bool:
@@ -70,6 +78,8 @@ def recognize_dirac(g: SimpleGraph, k: int) -> Optional[DiracWitness]:
     pair, so each candidate pair is checked directly against all the
     defining conditions, on neighbor masks.
     """
+    if not is_json_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     if g.n != 2 * k + 1 or g.m != k * k + k - 1:

@@ -63,6 +63,13 @@ reads the live colors afresh off the rows of the edges it walks.
 Only an edge with more than one option can change, or hold a killer,
 so the load and the split walk those edges alone: in the perfect
 regime, the edges off the pinned spanning tree.
+
+An edge's rows on a domain depend on nothing but its option list and
+the domain, so they are built once per process and shared by every box
+search with those options, as are the option masks they are built
+from.  The tables hold one (k, regime) at a time: a box search at
+another (k, regime) replaces them, so only the current option lists
+stay resident.  No row is written after it is built.
 """
 
 from __future__ import annotations
@@ -89,6 +96,7 @@ from .graphs import (
     block_decomposition,
     block_shape,
     clique_number,
+    is_json_int,
 )
 
 
@@ -263,6 +271,11 @@ _Rows = tuple[list[int], list[int]]
 # be spared; and the colors of u and of v the union rows leave live
 _EdgeRows = tuple[_Rows, Optional[_Rows], int, int]
 
+# the option tables of the current (k, regime), at most one: for each option
+# list, which options match each pair (its ``holds``) and the edge rows built
+# on it, per domain
+_option_tables: dict[tuple[int, str], dict[tuple, tuple[list[int], dict[int, _EdgeRows]]]] = {}
+
 
 class _BoxSearch:
     """The covers of one graph, split into boxes that one search decides each.
@@ -282,11 +295,12 @@ class _BoxSearch:
     lowest option) ranks at or above it is dropped undecided.
 
     An edge's shared rows, union rows and live colors on a domain are
-    built in one pass over its ``holds`` and memoised on the instance,
-    for one call, shared by the edges with the same options.  Both table
-    sets are neighbor lists, built in edge order with the instance, so
-    each ascends as a ``Cover``'s does; after that ``load`` is the one
-    writer of both.  It keeps the domain each edge holds in them and the
+    built in one pass over its ``holds`` and kept in the process-wide
+    ``_option_tables``, where every edge and every search with the same
+    options finds them; no search writes into them.  Both table sets are
+    neighbor lists, built in edge order with the instance, so each
+    ascends as a ``Cover``'s does; after that ``load`` is the one writer
+    of both.  It keeps the domain each edge holds in them and the
     rows it was loaded with, rewrites both sets only on the edges whose
     domain changed, usually one or two, at the fixed place each holds in
     its endpoints' lists, and reads the live colors afresh off the loaded
@@ -311,22 +325,29 @@ class _BoxSearch:
         # picking option d at edge p adds d * weights[p] to a cover's rank
         sizes = [len(options) for _, options in self.choices]
         self.weights = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
-        self._rows: dict[tuple[int, int], _EdgeRows] = {}
-        # holds[p][i * k + j]: the options of edge p matching color i of u to color j of v;
-        # edges with equal options share one list, numbered _kind[p]
-        kinds: dict[tuple, tuple[int, list[int]]] = {}
+        # holds[p][i * k + j]: the options of edge p matching color i of u to
+        # color j of v; _built[p]: the edge rows built on them, per domain; both
+        # from _option_tables, where each option list is looked up once
+        tables = _option_tables.get((k, regime))
+        if tables is None:
+            _option_tables.clear()
+            tables = _option_tables[k, regime] = {}
+        looked_up: dict[int, tuple[list[int], dict[int, _EdgeRows]]] = {}
         self.holds: list[list[int]] = []
-        self._kind: list[int] = []
+        self._built: list[dict[int, _EdgeRows]] = []
         for _, options in self.choices:
-            if options not in kinds:
-                masks = [0] * (k * k)
-                for d, matching in enumerate(options):
-                    for i, j in matching:
-                        masks[i * k + j] |= 1 << d
-                kinds[options] = (len(kinds), masks)
-            kind, masks = kinds[options]
-            self.holds.append(masks)
-            self._kind.append(kind)
+            entry = looked_up.get(id(options))
+            if entry is None:
+                entry = tables.get(options)
+                if entry is None:
+                    masks = [0] * (k * k)
+                    for d, matching in enumerate(options):
+                        for i, j in matching:
+                            masks[i * k + j] |= 1 << d
+                    entry = tables[options] = (masks, {})
+                looked_up[id(options)] = entry
+            self.holds.append(entry[0])
+            self._built.append(entry[1])
         # the shared and the union table sets as neighbor lists, the domain
         # each edge holds in both, and the rows it was loaded with
         self.conf: Adjacency = [[] for _ in range(g.n)]
@@ -387,10 +408,10 @@ class _BoxSearch:
         An edge with one option, or whose options together match all
         k * k pairs, cannot be spared; its union rows are None and it
         leaves every color live.  One pass over ``holds[p]`` builds all
-        of them.  Memoised per (options, domain) on the instance.
+        of them, once per (options, domain) in the process: later calls,
+        from this search or another, return the same rows.
         """
-        kind = self._kind[p]
-        memo = self._rows.get((kind, dom))
+        memo = self._built[p].get(dom)
         if memo is not None:
             return memo
         k, holds = self.k, self.holds[p]
@@ -413,7 +434,7 @@ class _BoxSearch:
             memo = ((fwd, bwd), None, full, full)
         else:
             memo = ((fwd, bwd), (some_fwd, some_bwd), live_u, live_v)
-        self._rows[kind, dom] = memo
+        self._built[p][dom] = memo
         return memo
 
     def __iter__(self) -> Iterator[tuple[list[int], Optional[dict[int, int]]]]:
@@ -520,10 +541,13 @@ def chi_dp(g: SimpleGraph, max_k: Optional[int] = None) -> int:
     ``first_critical_cover``), and a level fails at the first box whose
     shared pairs have no coloring.  Disconnected graphs take the maximum
     over components.  A base that is not a ``SimpleGraph`` raises
-    ValueError, as ``cover_choices`` does.
+    ValueError, as ``cover_choices`` does, and so does a ``max_k`` that
+    is neither None nor an int.
     """
     if not isinstance(g, SimpleGraph):
         raise ValueError(f"chi_dp needs a SimpleGraph base, got {type(g).__name__}")
+    if max_k is not None and not is_json_int(max_k):
+        raise ValueError(f"max_k must be an int, got {max_k!r}")
     if g.n < 1:
         raise ValueError("threshold undefined for the empty graph")
     best = 1

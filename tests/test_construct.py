@@ -1,5 +1,7 @@
 """Named constructions and their stated invariants."""
 
+import re
+
 import networkx as nx
 import pytest
 
@@ -64,6 +66,13 @@ class TestMakeDirac:
         with pytest.raises(ValueError):
             make_dirac(3, 3)
 
+    def test_refuses_non_int_arguments(self):
+        # a float raised TypeError from range
+        for k, a in [(3.0, 1), (3, 1.0), (True, 1)]:
+            want = f"k and a must be ints, got {k!r} and {a!r}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                make_dirac(k, a)
+
 
 class TestMakeKsExample:
     def test_counts(self):
@@ -101,6 +110,12 @@ class TestMakeKsExample:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             make_ks_example(1)
+
+    def test_refuses_a_non_int_k(self):
+        # 2.0 raised TypeError from range
+        for k in (2.0, "2", True):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+                make_ks_example(k)
 
 
 class TestMakeC4Covers:
@@ -154,6 +169,13 @@ class TestMakeWheel:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             make_wheel(2)
+
+    def test_refuses_a_non_int_rim(self):
+        # 4.0 raised TypeError from range
+        for r in (4.0, "4", True):
+            want = f"the rim size must be an int, got {r!r}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                make_wheel(r)
 
 
 class TestMakeMultigraphCounterexample:

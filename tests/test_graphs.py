@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import re
 from random import Random
 
 import networkx as nx
@@ -486,6 +487,14 @@ class TestCliques:
         with pytest.raises(ValueError):
             contains_clique(g, 0)
 
+    def test_refuses_a_non_int_size(self):
+        # True was read as 1, so every nonempty graph held a "True-clique"
+        c4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        for t in (True, 2.0, 2.5):
+            want = f"clique size must be an int, got {t!r}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                contains_clique(c4, t)
+
     def test_against_exhaustive_subsets(self):
         rng = Random(90125)
         for _ in range(30):
@@ -567,3 +576,10 @@ class TestDegreeProfile:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             degree_profile(SimpleGraph(2, [(0, 1)]), 0)
+
+    def test_refuses_a_non_int_k(self):
+        # a float k gave float epsilons, and a string raised TypeError
+        c4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        for k in (3.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+                degree_profile(c4, k)

@@ -87,6 +87,13 @@ class TestCandidateFilter:
         with pytest.raises(ValueError):
             candidate_filter(complete(4), 2)
 
+    def test_refuses_a_non_int_k(self):
+        # 3.5 answered "min degree below k" on the 4-cycle
+        c4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        for k in (3.5, 3.0, True):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+                candidate_filter(c4, k)
+
 
 class TestVerifyDiracBound:
     def test_wheel_row(self):

@@ -28,6 +28,7 @@ from dpcolor import (
     chi_dp,
     count_covers,
     cover_choices,
+    cover_to_json_text,
     emit_graph6,
     enumerate_covers,
     first_critical_cover,
@@ -46,6 +47,7 @@ from helpers import (
     atlas_connected,
     box_tables_from_scratch,
     brute_force_colorings,
+    conflict_rows,
     connected_cubic_8,
     cover_colorings,
     first_brute_force_coloring,
@@ -533,6 +535,12 @@ def search_counters(g: SimpleGraph, k: int, regime: str) -> tuple[int, ...]:
     return box_counters(boxes)
 
 
+def criterion06_graphs() -> list[SimpleGraph]:
+    """The 11 frozen criterion-06 candidates, in stream order."""
+    lines = (ROOT / "perfbench" / "data" / "criterion06.g6").read_text().split()
+    return [g for g in map(parse_graph6, lines) if candidate_filter(g, 3) is None]
+
+
 # the counters of the 11 frozen criterion-06 candidates, in stream order;
 # they move only when what the box search searches moves
 CRITERION06_COUNTERS = [
@@ -551,8 +559,7 @@ CRITERION06_COUNTERS = [
 
 
 def test_criterion06_search_counters_are_pinned():
-    lines = (ROOT / "perfbench" / "data" / "criterion06.g6").read_text().split()
-    graphs = [g for g in map(parse_graph6, lines) if candidate_filter(g, 3) is None]
+    graphs = criterion06_graphs()
     assert [(emit_graph6(g), search_counters(g, 3, "perfect")) for g in graphs] == (
         CRITERION06_COUNTERS
     )
@@ -619,6 +626,110 @@ def test_deletion_tests_go_through_is_critical(g, k, monkeypatch):
     assert len(decided) == boxes.deletion_tests > 0
     passed = [c for c, verdict in decided if verdict]
     assert witness is not None and passed[-1] is witness
+
+
+# ---------------------------------------------------------------------------
+# the option tables, shared by every box search in the process
+
+
+@pytest.fixture
+def cold_tables():
+    """The process-wide option tables, emptied for the test."""
+    dpcolor.solver._option_tables.clear()
+    return dpcolor.solver._option_tables
+
+
+def test_cold_and_warm_tables_give_the_pinned_counters(cold_tables):
+    # the second run, in reverse order, meets warm tables wherever the
+    # search before it had the same (k, regime), and replaces them elsewhere
+    searches = [(parse_graph6(g6), 3, "perfect", want) for g6, want in CRITERION06_COUNTERS]
+    searches += SEARCH_COUNTERS.values()
+    runs = []
+    for order in (searches, searches[::-1]):
+        found = {}
+        for g, k, regime, want in order:
+            boxes = _BoxSearch(g, k, regime)
+            examined, witness = boxes.first_critical()
+            assert box_counters(boxes) == want
+            text = None if witness is None else cover_to_json_text(witness)
+            found[emit_graph6(g), k, regime] = examined, text
+        runs.append(found)
+    assert runs[0] == runs[1]
+    assert sum(text is not None for _, text in runs[0].values()) == 3
+
+
+def test_searches_at_one_k_and_regime_share_their_tables(cold_tables):
+    a = _BoxSearch(parse_graph6("Dl{"), 3, "perfect")
+    b = _BoxSearch(parse_graph6("FBjN_"), 3, "perfect")
+    full = list(a._loaded)
+    for _ in a:
+        pass
+    shared = 0
+    for p, (_, options) in enumerate(a.choices):
+        for q, (_, others) in enumerate(b.choices):
+            if options != others:
+                assert a.holds[p] is not b.holds[q]
+                continue
+            # b finds every row a built, and builds none of its own for them
+            assert a.holds[p] is b.holds[q]
+            assert a._built[p] is b._built[q]
+            assert full[p] is b._loaded[q]
+            for dom, rows in a._built[p].items():
+                assert b._edge_rows(q, dom) is rows
+            shared += 1
+    assert shared > 0
+    # the identity and the permutations of [3]
+    assert len(cold_tables[3, "perfect"]) == 2
+
+
+def edge_rows_from_scratch(options, k: int, dom: int):
+    """An option list's rows on a domain, as ``_edge_rows`` gives them, built afresh."""
+    full = (1 << k) - 1
+    picked = [set(options[d]) for d in _bits(dom)]
+    every, some = sorted(set.intersection(*picked)), sorted(set.union(*picked))
+    shared = conflict_rows((every,), k, k)
+    if len(picked) == 1 or len(some) == k * k:
+        return shared, None, full, full
+    fwd, bwd = conflict_rows((some,), k, k)
+    live_u = sum(1 << i for i, row in enumerate(fwd) if row != full)
+    live_v = sum(1 << j for j, row in enumerate(bwd) if row != full)
+    return shared, (fwd, bwd), live_u, live_v
+
+
+def check_tables_against_their_options(tables, k: int) -> int:
+    """Every holds list and row of these tables, rebuilt from its options; the rows checked."""
+    checked = 0
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    for options, (holds, built) in tables.items():
+        assert holds == [sum(1 << d for d, m in enumerate(options) if x in m) for x in pairs]
+        for dom, rows in built.items():
+            assert rows == edge_rows_from_scratch(options, k, dom)
+            checked += 1
+    return checked
+
+
+def test_shared_rows_are_never_written_after_they_are_built(cold_tables):
+    graphs = criterion06_graphs()
+    for g in graphs:
+        _BoxSearch(g, 3, "perfect").first_critical()
+    assert list(cold_tables) == [(3, "perfect")]
+    built = check_tables_against_their_options(cold_tables[3, "perfect"], 3)
+    assert built > 2
+    # a second sweep finds every row it needs built
+    for g in graphs:
+        _BoxSearch(g, 3, "perfect").first_critical()
+    assert check_tables_against_their_options(cold_tables[3, "perfect"], 3) == built
+    _BoxSearch(parse_graph6("Dl{"), 3, "partial").first_critical()
+    assert list(cold_tables) == [(3, "partial")]
+    assert check_tables_against_their_options(cold_tables[3, "partial"], 3) > 1
+
+
+def test_a_search_at_another_k_or_regime_replaces_the_tables(cold_tables):
+    _BoxSearch(K4, 3, "perfect").first_critical()
+    for g, k, regime in [(C4, 2, "partial"), (K4, 4, "perfect"), (C4, 3, "perfect")]:
+        boxes = _BoxSearch(g, k, regime)
+        assert list(cold_tables) == [(k, regime)]
+        assert set(cold_tables[k, regime]) == {options for _, options in boxes.choices}
 
 
 def test_union_tables_keep_the_criterion06_box_count_down():

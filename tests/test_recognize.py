@@ -1,5 +1,6 @@
 """Structural classes: Gallai/GDP forests, deficiency, Dirac graphs, bricks."""
 
+import re
 import time
 from itertools import combinations
 from random import Random
@@ -146,6 +147,12 @@ class TestRecognizeDirac:
     def test_wrong_size_rejected(self):
         assert recognize_dirac(complete(4), 3) is None
         assert recognize_dirac(cycle(7), 3) is None  # right n, wrong m
+
+    def test_refuses_a_non_int_k(self):
+        # 3.0 answered None, as if the 3-Dirac graph were not one
+        for g, k in [(cycle(4), 3.0), (make_dirac(3, 1), 3.0), (make_dirac(3, 1), 3.5)]:
+            with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+                recognize_dirac(g, k)
 
     def test_permuted_labels_still_recognized(self):
         rng = Random(1351)

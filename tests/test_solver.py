@@ -175,6 +175,13 @@ class TestChiDp:
         with pytest.raises(ValueError):
             chi_dp(SimpleGraph(0, []))
 
+    def test_refuses_a_non_int_max_k(self):
+        # 1.5 and "3" raised TypeError, and True was read as 1
+        p3 = SimpleGraph(3, [(0, 1), (1, 2)])
+        for g, max_k in [(p3, 1.5), (C4, "3"), (C4, True), (C4, 3.0)]:
+            with pytest.raises(ValueError, match=re.escape(f"max_k must be an int, got {max_k!r}")):
+                chi_dp(g, max_k=max_k)
+
     def test_multigraph_base_rejected(self):
         mg = MultiGraph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 1)])
         with pytest.raises(ValueError, match="SimpleGraph base, got MultiGraph"):
