@@ -18,17 +18,15 @@ Vertex layouts are fixed so the outputs are reproducible:
 from __future__ import annotations
 
 from .covers import Cover, cover_from_lists
-from .graphs import MultiGraph, SimpleGraph, is_json_int
+from .graphs import MultiGraph, SimpleGraph, _check_int
 
 
 def make_dirac(k: int, a: int) -> SimpleGraph:
     """The k-Dirac graph whose ends receive a and k - a big-clique vertices."""
-    if not (is_json_int(k) and is_json_int(a)):
-        raise ValueError(f"k and a must be ints, got {k!r} and {a!r}")
-    if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
-    if not 1 <= a <= k - 1:
-        raise ValueError(f"a must be between 1 and {k - 1}, got {a}")
+    _check_int("k", k, 3)
+    _check_int("a", a, 1)
+    if a > k - 1:
+        raise ValueError(f"a must be at most {k - 1}, got {a}")
     big = list(range(k))
     small = list(range(k, 2 * k - 1))
     x, y = 2 * k - 1, 2 * k
@@ -48,10 +46,7 @@ def make_ks_example(k: int) -> tuple[SimpleGraph, list[list[int]]]:
     which rules out a Dirac-type bound for list instances once cliques
     of size k+1 are allowed.
     """
-    if not is_json_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    _check_int("k", k, 2)
     a = list(range(k + 1))
     b = list(range(k + 1, 2 * k + 2))
     edges = []
@@ -86,10 +81,7 @@ def make_c4_covers() -> tuple[Cover, Cover]:
 
 def make_wheel(r: int) -> SimpleGraph:
     """Wheel: a cycle 0..r-1 plus a hub (vertex r) adjacent to all of it."""
-    if not is_json_int(r):
-        raise ValueError(f"the rim size must be an int, got {r!r}")
-    if r < 3:
-        raise ValueError(f"the rim needs at least 3 vertices, got {r}")
+    _check_int("r", r, 3)
     edges = [(i, (i + 1) % r) for i in range(r)]
     edges += [(i, r) for i in range(r)]
     return SimpleGraph(r + 1, edges)
@@ -106,8 +98,9 @@ def make_multigraph_counterexample(k: int) -> tuple[MultiGraph, Cover]:
     need j0 != j1 yet j0 = j2 = j1, so none exists, while dropping any
     one vertex leaves a colorable instance.
     """
-    if k < 3 or k % 3 != 0:
-        raise ValueError(f"k must be a positive multiple of 3, got {k}")
+    _check_int("k", k, 3)
+    if k % 3 != 0:
+        raise ValueError(f"k must be a multiple of 3, got {k}")
     q = k // 3
     mg = MultiGraph(3, [(0, 1, q), (0, 2, 2 * q), (1, 2, 2 * q)])
 

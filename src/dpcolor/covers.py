@@ -53,6 +53,8 @@ from .graphs import (
     BaseGraph,
     SimpleGraph,
     _bits,
+    _check_int,
+    _check_vertex,
     emit_graph6,
     is_json_int,
     multigraph_from_json,
@@ -247,7 +249,9 @@ class Cover:
 
     def _rows(self, u: int, v: int) -> list[int]:
         """The union of the pair's matchings as rows u -> v."""
-        for w, row in self._adj[u] if 0 <= u < self.n else ():
+        _check_vertex(u, self.n)
+        _check_vertex(v, self.n)
+        for w, row in self._adj[u]:
             if w == v:
                 return row
         raise ValueError(f"({u}, {v}) is not an edge of the base graph")
@@ -394,8 +398,7 @@ def _colors_left(c: Cover, p: PartialColoring) -> list[int]:
 
 def residual_list(c: Cover, p: PartialColoring, u: int) -> tuple[int, ...]:
     """Colors of u not joined to any pick of p.  u must be uncovered."""
-    if not 0 <= u < c.n:
-        raise ValueError(f"vertex {u} out of range for n={c.n}")
+    _check_vertex(u, c.n)
     if u in p:
         raise ValueError(f"vertex {u} is already colored")
     return _bits(_colors_left(c, p)[u])
@@ -453,12 +456,9 @@ def cover_choices(g: SimpleGraph, k: int, regime: str) -> EdgeChoices:
     """
     if not isinstance(g, SimpleGraph):
         raise ValueError(f"cover enumeration needs a SimpleGraph base, got {type(g).__name__}")
-    if not is_json_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
+    _check_int("k", k, 1)
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     if g.n == 0 or not g.is_connected():
         raise ValueError("cover enumeration requires a connected graph on at least one vertex")
     if regime == "partial":
@@ -550,10 +550,8 @@ def cover_from_json(data: Mapping) -> Cover:
     else:
         raise ValueError("cover JSON needs a 'graph6' or 'multigraph' entry")
     if "k" in data:
-        k = data["k"]
-        if not is_json_int(k) or k < 0:
-            raise ValueError(f"invalid k: {k!r}")
-        sizes = (k,) * base.n
+        _check_int("k", data["k"], 0)
+        sizes = (data["k"],) * base.n
     elif "list_sizes" in data:
         if not isinstance(data["list_sizes"], list):
             raise ValueError(f"list_sizes must be a list, got {data['list_sizes']!r}")

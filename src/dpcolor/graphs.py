@@ -50,12 +50,23 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _check_count(n: object) -> None:
-    """Refuse a vertex count that is not a non-negative int; a bool is no count."""
-    if not is_json_int(n):
-        raise ValueError(f"vertex count must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
+def is_json_int(x: object) -> bool:
+    """An integer as JSON gives one: bool is an int subclass, but true/false are not numbers."""
+    return type(x) is int
+
+
+def _check_int(name: str, value: object, least: int) -> None:
+    """Refuse an argument that is not an int (a bool is none) of at least ``least``."""
+    if not is_json_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_vertex(u: object, n: int) -> None:
+    """Refuse anything but an int vertex of 0..n-1."""
+    if not (is_json_int(u) and 0 <= u < n):
+        raise ValueError(f"vertex {u!r} out of range for n={n}")
 
 
 class SimpleGraph:
@@ -64,7 +75,7 @@ class SimpleGraph:
     __slots__ = ("n", "m", "_nbr", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        _check_count(n)
+        _check_int("vertex count", n, 0)
         nbr = [0] * n
         for u, v in edges:
             if not (is_json_int(u) and is_json_int(v)):
@@ -108,18 +119,16 @@ class SimpleGraph:
         return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
+        _check_vertex(u, self.n)
+        _check_vertex(v, self.n)
         return self._nbr[u] >> v & 1 == 1
 
     def neighbors(self, u: int) -> frozenset[int]:
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range for n={self.n}")
+        _check_vertex(u, self.n)
         return frozenset(_bits(self._nbr[u]))
 
     def degree(self, u: int) -> int:
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range for n={self.n}")
+        _check_vertex(u, self.n)
         return self._nbr[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -138,9 +147,11 @@ class SimpleGraph:
 
     def induced(self, vertices: Iterable[int]) -> "SimpleGraph":
         """Induced subgraph; result vertex i corresponds to sorted(vertices)[i]."""
-        vs = sorted(set(vertices))
-        if vs and not (0 <= vs[0] and vs[-1] < self.n):
-            raise ValueError(f"vertices {vs} out of range for n={self.n}")
+        vs = list(vertices)
+        # each vertex is checked before the set, which would fold 1.0 into 1
+        for v in vs:
+            _check_vertex(v, self.n)
+        vs = sorted(set(vs))
         index = {v: i for i, v in enumerate(vs)}
         keep = sum(1 << v for v in vs)
         return SimpleGraph._from_masks(
@@ -200,7 +211,7 @@ class MultiGraph:
     __slots__ = ("n", "m", "_mult", "_simple")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
-        _check_count(n)
+        _check_int("vertex count", n, 0)
         mult: dict[tuple[int, int], int] = {}
         for u, v, t in edges:
             if not (is_json_int(u) and is_json_int(v) and is_json_int(t)):
@@ -227,15 +238,14 @@ class MultiGraph:
         return tuple([(u, v, t) for (u, v), t in self._mult.items()])
 
     def multiplicity(self, u: int, v: int) -> int:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
+        _check_vertex(u, self.n)
+        _check_vertex(v, self.n)
         key = (u, v) if u < v else (v, u)
         return self._mult.get(key, 0)
 
     def degree(self, u: int) -> int:
         """Degree counting multiplicities."""
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range for n={self.n}")
+        _check_vertex(u, self.n)
         return sum(t for (a, b), t in self._mult.items() if a == u or b == u)
 
     def degrees(self) -> tuple[int, ...]:
@@ -268,11 +278,6 @@ class MultiGraph:
 
 # read only through n, m, pairs(), multiplicity(u, v), degrees() and simple()
 BaseGraph = Union[SimpleGraph, MultiGraph]
-
-
-def is_json_int(x: object) -> bool:
-    """An integer as JSON gives one: bool is an int subclass, but true/false are not numbers."""
-    return type(x) is int
 
 
 def multigraph_from_json(data: object) -> MultiGraph:
@@ -518,10 +523,7 @@ class DegreeProfile:
 
 
 def degree_profile(g: BaseGraph, k: int) -> DegreeProfile:
-    if not is_json_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _check_int("k", k, 1)
     degs = g.degrees()
     eps = tuple([d - k for d in degs])
     return DegreeProfile(
@@ -558,10 +560,7 @@ def _first_clique(nbr: Sequence[int], t: int) -> int:
 
 def contains_clique(g: SimpleGraph, t: int) -> bool:
     """Exact test for a clique on t vertices (the branch and bound of ``_first_clique``)."""
-    if not is_json_int(t):
-        raise ValueError(f"clique size must be an int, got {t!r}")
-    if t < 1:
-        raise ValueError(f"clique size must be at least 1, got {t}")
+    _check_int("clique size", t, 1)
     return _first_clique(g._nbr, t) != 0
 
 

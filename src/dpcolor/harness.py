@@ -30,10 +30,10 @@ from .graphs import (
     Graph6Error,
     SimpleGraph,
     _bits,
+    _check_int,
     block_shape,
     contains_clique,
     emit_graph6,
-    is_json_int,
     parse_graph6,
 )
 from .recognize import is_gdp_forest, recognize_dirac
@@ -52,20 +52,14 @@ class SweepConfig:
     include_dirac: bool = False
 
     def __post_init__(self):
-        for name in ("k", "max_n", "parallelism"):
-            value = getattr(self, name)
-            if not (is_json_int(value) or name == "max_n" and value is None):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _check_int("k", self.k, 3)
+        if self.max_n is not None:
+            _check_int("max_n", self.max_n, 0)
+        _check_int("parallelism", self.parallelism, 1)
         if type(self.include_dirac) is not bool:
             raise ValueError(f"include_dirac must be a bool, got {self.include_dirac!r}")
-        if self.k < 3:
-            raise ValueError(f"k must be at least 3, got {self.k}")
-        if self.max_n is not None and self.max_n < 0:
-            raise ValueError(f"max_n must be at least 0, got {self.max_n}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
 
     def resolved_max_n(self) -> int:
         # cover counts grow as (k!)^(m-n+1); the default caps keep a sweep
@@ -100,6 +94,7 @@ REPORT_FIELDS = tuple(f.name for f in fields(DiracReportRow))
 
 def dirac_deficit(g: SimpleGraph, k: int) -> int:
     """2m - (kn + k - 2): positive when g already satisfies the claimed bound."""
+    _check_int("k", k, 0)
     return 2 * g.m - (k * g.n + k - 2)
 
 
@@ -112,10 +107,7 @@ def candidate_filter(g: SimpleGraph, k: int, include_dirac: bool = False) -> Opt
     on k+1 vertices and k-Dirac graphs are the two excluded families
     (the latter kept when ``include_dirac`` is set).
     """
-    if not is_json_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
+    _check_int("k", k, 3)
     if not g.is_connected():
         return "disconnected"
     if g.min_degree < k:

@@ -20,10 +20,10 @@ from .graphs import (
     BaseGraph,
     SimpleGraph,
     _bits,
+    _check_int,
     _first_clique,
     block_decomposition,
     block_shape,
-    is_json_int,
 )
 
 
@@ -45,8 +45,7 @@ def gdp_deficiency(f: SimpleGraph, k: int) -> int:
     """sum of (k - deg(u)) over the vertices of a nonempty graph."""
     if f.n == 0:
         raise ValueError("deficiency undefined for the empty graph")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _check_int("k", k, 1)
     return sum(k - f.degree(u) for u in f.vertices)
 
 
@@ -78,10 +77,7 @@ def recognize_dirac(g: SimpleGraph, k: int) -> Optional[DiracWitness]:
     pair, so each candidate pair is checked directly against all the
     defining conditions, on neighbor masks.
     """
-    if not is_json_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
+    _check_int("k", k, 3)
     if g.n != 2 * k + 1 or g.m != k * k + k - 1:
         return None
     nbr = g._nbr
@@ -145,8 +141,7 @@ def find_brick(
     pairs (``_first_cycle``) are sought; the lexicographically least
     sorted vertex set wins, and a set that is both is a clique.
     """
-    if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
+    _check_int("k", k, 3)
 
     def pairs_for(t: int) -> list[int]:
         # per vertex, the mask of the pairs a brick of multiplicity t may use

@@ -93,10 +93,11 @@ from .covers import (
 from .graphs import (
     DegreeProfile,
     SimpleGraph,
+    _check_int,
+    _check_vertex,
     block_decomposition,
     block_shape,
     clique_number,
-    is_json_int,
 )
 
 
@@ -208,10 +209,14 @@ def find_coloring(
     avail = _colors_left(c, seed)
     if not all(avail[v] >> i & 1 for v, i in seed.items):
         raise ValueError("seed is not independent")
-    todo = set(range(c.n)) if target is None else set(target)
-    for u in todo:
-        if not 0 <= u < c.n:
-            raise ValueError(f"target vertex {u} out of range")
+    if target is None:
+        todo = set(range(c.n))
+    else:
+        # each vertex is checked before the set, which would fold 1.0 into 1
+        target = list(target)
+        for u in target:
+            _check_vertex(u, c.n)
+        todo = set(target)
     todo -= seed.dom
     local = SearchStats()
     assignment = _search(c._adj, avail, todo, local)
@@ -542,12 +547,12 @@ def chi_dp(g: SimpleGraph, max_k: Optional[int] = None) -> int:
     shared pairs have no coloring.  Disconnected graphs take the maximum
     over components.  A base that is not a ``SimpleGraph`` raises
     ValueError, as ``cover_choices`` does, and so does a ``max_k`` that
-    is neither None nor an int.
+    is neither None nor an int of at least 1.
     """
     if not isinstance(g, SimpleGraph):
         raise ValueError(f"chi_dp needs a SimpleGraph base, got {type(g).__name__}")
-    if max_k is not None and not is_json_int(max_k):
-        raise ValueError(f"max_k must be an int, got {max_k!r}")
+    if max_k is not None:
+        _check_int("max_k", max_k, 1)
     if g.n < 1:
         raise ValueError("threshold undefined for the empty graph")
     best = 1

@@ -68,8 +68,8 @@ class TestMakeDirac:
 
     def test_refuses_non_int_arguments(self):
         # a float raised TypeError from range
-        for k, a in [(3.0, 1), (3, 1.0), (True, 1)]:
-            want = f"k and a must be ints, got {k!r} and {a!r}"
+        for k, a, name, value in [(3.0, 1, "k", 3.0), (3, 1.0, "a", 1.0), (True, 1, "k", True)]:
+            want = f"{name} must be an int, got {value!r}"
             with pytest.raises(ValueError, match=re.escape(want)):
                 make_dirac(k, a)
 
@@ -173,7 +173,7 @@ class TestMakeWheel:
     def test_refuses_a_non_int_rim(self):
         # 4.0 raised TypeError from range
         for r in (4.0, "4", True):
-            want = f"the rim size must be an int, got {r!r}"
+            want = f"r must be an int, got {r!r}"
             with pytest.raises(ValueError, match=re.escape(want)):
                 make_wheel(r)
 
@@ -232,6 +232,7 @@ class TestMakeMultigraphCounterexample:
             assert find_brick(mg, k) is None
 
     def test_bad_arguments(self):
-        for k in (0, 2, 4, -3):
-            with pytest.raises(ValueError):
+        # 3.0 reached MultiGraph, which blamed a multiplicity of 1.0
+        for k in (0, 2, 4, -3, 3.0):
+            with pytest.raises(ValueError, match="^k must be"):
                 make_multigraph_counterexample(k)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import time
 from random import Random
 
@@ -82,6 +83,10 @@ class TestCoverConstruction:
     def test_slot_matchings_refuse_a_non_edge(self):
         with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge of the base graph"):
             Cover(C4, [2] * 4).slot_matchings(0, 2)
+        # 1.0 and True were read as vertex 1
+        for u, v, bad in [(0, 1.0, 1.0), (True, 2, True)]:
+            with pytest.raises(ValueError, match=re.escape(f"vertex {bad!r} out of range")):
+                Cover(C4, [2] * 4).slot_matchings(u, v)
 
     def test_flipped_key_is_transposed(self):
         a = Cover(C4, [2] * 4, {(0, 1): [(0, 1)]})
@@ -489,10 +494,11 @@ class TestResidualList:
             residual_list(c, PartialColoring({0: 0}), 0)
 
     def test_rejects_vertex_out_of_range(self):
-        # -1 would otherwise read the last vertex's colors
+        # -1 would otherwise read the last vertex's colors, 1.0 raise
+        # TypeError from an index, and True read vertex 1
         c = identity_cover(SimpleGraph(3, [(0, 1), (1, 2)]), 3)
-        for u in (-1, 3):
-            with pytest.raises(ValueError, match=f"vertex {u} out of range for n=3"):
+        for u in (-1, 3, 1.0, True):
+            with pytest.raises(ValueError, match=re.escape(f"vertex {u!r} out of range for n=3")):
                 residual_list(c, PartialColoring(), u)
 
     def test_multigraph_residual_unions_parallel_slots(self):

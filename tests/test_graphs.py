@@ -95,8 +95,10 @@ class TestSimpleGraph:
             SimpleGraph(3, [("a", 1)])
 
     def test_induced_refuses_vertices_out_of_range(self):
-        with pytest.raises(ValueError, match=r"vertices \[0, 3\] out of range for n=3"):
-            SimpleGraph(3, [(0, 1)]).induced([0, 3])
+        # 0.0 raised TypeError from a shift, and a set folded True into 1
+        for vs, u in [([0, 3], 3), ([0.0, 1], 0.0), ([1, True], True)]:
+            with pytest.raises(ValueError, match=re.escape(f"vertex {u!r} out of range for n=3")):
+                SimpleGraph(3, [(0, 1)]).induced(vs)
 
     def test_components_sorted_by_smallest_vertex(self):
         g = SimpleGraph(6, [(3, 4), (0, 5)])
@@ -107,12 +109,14 @@ class TestSimpleGraph:
         assert SimpleGraph(0, []).is_connected()
 
     def test_degree_and_neighbors_refuse_vertices_out_of_range(self):
-        # -1 would otherwise wrap round to vertex 2, and 3 raise IndexError
+        # -1 would otherwise wrap round to vertex 2, 3 raise IndexError, 1.0
+        # raise TypeError from a shift, and True be read as vertex 1
         g = SimpleGraph(3, [(0, 1), (1, 2)])
-        for u in (-1, 3):
-            with pytest.raises(ValueError, match=f"vertex {u} out of range for n=3"):
+        for u in (-1, 3, 1.0, True):
+            want = re.escape(f"vertex {u!r} out of range for n=3")
+            with pytest.raises(ValueError, match=want):
                 g.degree(u)
-            with pytest.raises(ValueError, match=f"vertex {u} out of range for n=3"):
+            with pytest.raises(ValueError, match=want):
                 g.neighbors(u)
 
     def test_equality_and_hash(self):
@@ -147,12 +151,14 @@ class TestMultiGraph:
             MultiGraph(2, [(0, 1, -1)])
 
     def test_rejects_vertices_out_of_range(self):
-        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        with pytest.raises(ValueError, match="vertex count must be at least 0, got -1"):
             MultiGraph(-1)
         with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for n=2"):
             MultiGraph(2, [(0, 2, 1)])
-        with pytest.raises(ValueError, match="vertex 2 out of range for n=2"):
-            MultiGraph(2, [(0, 1, 1)]).degree(2)
+        # 1.0 and True were read as vertex 1
+        for u in (2, 1.0, True):
+            with pytest.raises(ValueError, match=re.escape(f"vertex {u!r} out of range for n=2")):
+                MultiGraph(2, [(0, 1, 1)]).degree(u)
 
     def test_refuses_non_int_counts_endpoints_and_multiplicities(self):
         with pytest.raises(ValueError, match=r"vertex count must be an int, got 3\.0"):
@@ -188,11 +194,12 @@ class TestMultigraphProtocol:
     def test_multiplicity_range_checked(self):
         g = SimpleGraph(3, [(0, 1)])
         twin = MultiGraph(3, [(0, 1, 1)])
+        # 1.0 raised TypeError from a shift on the simple graph and was read as
+        # vertex 1 on the multigraph, as True was on both
         for h in (g, twin):
-            with pytest.raises(ValueError):
-                h.multiplicity(0, 3)
-            with pytest.raises(ValueError):
-                h.multiplicity(-1, 0)
+            for u, v in [(0, 3), (-1, 0), (0, 1.0), (True, 0)]:
+                with pytest.raises(ValueError, match="out of range for n=3"):
+                    h.multiplicity(u, v)
 
 
 class TestGraph6:

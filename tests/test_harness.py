@@ -30,6 +30,7 @@ from dpcolor.harness import (
     DiracReportRow,
     SweepConfig,
     candidate_filter,
+    dirac_deficit,
     emit_report,
     parse_graph6,
     parse_report_csv,
@@ -93,6 +94,9 @@ class TestCandidateFilter:
         for k in (3.5, 3.0, True):
             with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
                 candidate_filter(c4, k)
+            # 3.5 answered -7.5
+            with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+                dirac_deficit(c4, k)
 
 
 class TestVerifyDiracBound:
@@ -346,6 +350,13 @@ class TestRevalidateRow:
         )
         for k in (1, 2):
             assert not revalidate_row(dataclasses.replace(row, deficit=2 * 2 - (k * 3 + k - 2)))
+
+    def test_zero_fold_witness_is_refused_not_raised(self, found):
+        # a k = 0 cover has deficit 2m - (0 - 2): dirac_deficit takes k = 0
+        witness = '{"k":0,"graph6":"A_","matchings":{}}'
+        row = dataclasses.replace(found, graph6="A_", n=2, m=1, witness_cover=witness)
+        for deficit in (0, 4):
+            assert revalidate_row(dataclasses.replace(row, deficit=deficit)) is False
 
     def test_unfound_row(self, found):
         clean = dataclasses.replace(found, critical_cover_found=False, witness_cover="")

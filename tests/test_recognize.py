@@ -110,8 +110,10 @@ class TestGdpDeficiency:
     def test_rejects_empty_and_bad_k(self):
         with pytest.raises(ValueError):
             gdp_deficiency(SimpleGraph(0, []), 3)
-        with pytest.raises(ValueError):
-            gdp_deficiency(complete(3), 0)
+        # 2.5 answered 2.0 on the 4-cycle, and True -4
+        for k in (0, 2.5, True):
+            with pytest.raises(ValueError, match="^k must be"):
+                gdp_deficiency(cycle(4), k)
 
     def test_lower_bound_on_small_gdp_trees(self):
         from dpcolor import contains_clique
@@ -251,6 +253,13 @@ class TestFindBrick:
         w = find_brick(g, 4)
         assert w is not None
         assert w.shape == "cycle" and w.multiplicity == 2 and len(w.vertices) == 4
+
+    def test_refuses_a_non_int_k(self):
+        # 4.0 answered a brick of multiplicity 2.0
+        g = MultiGraph(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
+        for k in (4.0, True):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+                find_brick(g, k)
 
     def test_submultiplicity_containment(self):
         # triangle with mults (3, 2, 2) contains the uniform-2 triangle

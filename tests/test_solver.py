@@ -95,8 +95,10 @@ class TestFindColoring:
             find_coloring(straight, seed=PartialColoring({0: 0, 1: 0}))
         with pytest.raises(ValueError):
             find_coloring(straight, seed=PartialColoring({7: 0}))
-        with pytest.raises(ValueError):
-            find_coloring(straight, target=[9])
+        # 1.0 raised TypeError from an index, and a set folded True into 1
+        for target in ([9], [1.0], [1, True]):
+            with pytest.raises(ValueError, match="out of range for n=4"):
+                find_coloring(straight, target=target)
 
     def test_unsatisfiable_seed_extension(self):
         # both picks kill the middle list completely
