@@ -240,6 +240,7 @@ class Cover:
         return first if all(s == first for s in self.list_size) else None
 
     def size(self, u: int) -> int:
+        _check_vertex(u, self.n)
         return self.list_size[u]
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -357,7 +358,7 @@ class PartialColoring:
 def is_full_matching(c: Cover, u: int, v: int) -> bool:
     """The union of the pair's matchings has size(u) pairs and touches every color of u and v."""
     fwd, bwd = c._rows(u, v), c._rows(v, u)
-    return sum(row.bit_count() for row in fwd) == c.size(u) and all(fwd) and all(bwd)
+    return sum(row.bit_count() for row in fwd) == c.list_size[u] and all(fwd) and all(bwd)
 
 
 def cover_from_lists(g: BaseGraph, lists: Sequence[Sequence[object]]) -> Cover:
@@ -389,7 +390,7 @@ def _colors_left(c: Cover, p: PartialColoring) -> list[int]:
     """Per vertex, picked or not, the mask of its colors that no pick of p is joined to."""
     left = [(1 << s) - 1 for s in c.list_size]
     for v, i in p.items:
-        if not 0 <= v < c.n or not 0 <= i < c.size(v):
+        if not 0 <= v < c.n or not 0 <= i < c.list_size[v]:
             raise ValueError(f"pick ({v}, {i}) out of range")
         for w, row in c._adj[v]:
             left[w] &= ~row[i]
@@ -498,11 +499,11 @@ def relabel_colors(c: Cover, perms: Sequence[Sequence[int]]) -> Cover:
     for u, perm in enumerate(perms):
         try:
             table = tuple(perm)
-            ok = all(is_json_int(x) for x in table) and sorted(table) == list(range(c.size(u)))
+            ok = all(is_json_int(x) for x in table) and sorted(table) == list(range(c.list_size[u]))
         except TypeError:  # not iterable
             ok = False
         if not ok:
-            raise ValueError(f"entry {u} is not a permutation of 0..{c.size(u) - 1}")
+            raise ValueError(f"entry {u} is not a permutation of 0..{c.list_size[u] - 1}")
         tables.append(table)
     slots = {
         (u, v): [

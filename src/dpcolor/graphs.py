@@ -12,13 +12,16 @@ never ask which kind they hold.  The graph6 codec implements
 the short form of McKay's format (n <= 62): one header byte ``n + 63``
 followed by ceil(n(n-1)/2 / 6) payload bytes carrying the upper triangle
 of the adjacency matrix in column order, six bits per byte, each offset
-by 63.  The decoder keeps a layout per n: for each payload position, a
-table from a byte to the adjacency bits it sets, every row in one int,
-filled the first time that byte is met there.  Each row takes a
-machine word of the int (8, 16, 32 or 64 bits, the least that holds n),
-so a line costs one lookup and one OR per byte and one ``struct`` unpack
-that splits the rows in C, with no edge list and no per-edge checks;
-only a byte missing from its table is checked.
+by 63.  The decoder keeps one entry per header byte, holding n, the
+payload length and a layout: for each payload position, a table from a
+byte to the adjacency bits it sets, every row in one int, filled the
+first time that byte is met there.  Each row takes a machine word of
+the int (8, 16, 32 or 64 bits, the least that holds n), so a line costs
+one lookup and one OR per byte and one ``struct`` unpack that splits the
+rows in C, with no edge list and no per-edge checks; only a byte
+missing from its table is checked.  ``_graph6_masks`` is that decoder
+and returns bare neighbor masks, which the sweep filters before it
+builds a graph; ``parse_graph6`` wraps them in a ``SimpleGraph``.
 Parse failures raise :class:`Graph6Error` naming the byte offset.
 """
 
@@ -67,6 +70,17 @@ def _check_vertex(u: object, n: int) -> None:
     """Refuse anything but an int vertex of 0..n-1."""
     if not (is_json_int(u) and 0 <= u < n):
         raise ValueError(f"vertex {u!r} out of range for n={n}")
+
+
+def _reach(nbr: Sequence[int], seed: int) -> int:
+    """The mask of the component, under neighbor masks nbr, holding the one vertex of mask seed."""
+    comp = todo = seed
+    while todo:
+        low = todo & -todo
+        new = nbr[low.bit_length() - 1] & ~comp
+        comp |= new
+        todo = todo ^ low | new
+    return comp
 
 
 class SimpleGraph:
@@ -158,29 +172,18 @@ class SimpleGraph:
             len(vs), [sum(1 << index[w] for w in _bits(self._nbr[v] & keep)) for v in vs]
         )
 
-    def _reach(self, seed: int) -> int:
-        """The mask of the component holding the one vertex of mask seed."""
-        nbr = self._nbr
-        comp = todo = seed
-        while todo:
-            low = todo & -todo
-            new = nbr[low.bit_length() - 1] & ~comp
-            comp |= new
-            todo = todo ^ low | new
-        return comp
-
     def connected_components(self) -> tuple[frozenset[int], ...]:
         """Components sorted by smallest contained vertex."""
         comps: list[frozenset[int]] = []
         left = (1 << self.n) - 1
         while left:
-            comp = self._reach(left & -left)
+            comp = _reach(self._nbr, left & -left)
             comps.append(frozenset(_bits(comp)))
             left &= ~comp
         return tuple(comps)
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or self._reach(1) == (1 << self.n) - 1
+        return self.n <= 1 or _reach(self._nbr, 1) == (1 << self.n) - 1
 
     def pairs(self) -> tuple[tuple[int, int, int], ...]:
         """Edges as (u, v, 1), u < v, sorted: the MultiGraph view."""
@@ -303,45 +306,45 @@ def multigraph_from_json(data: object) -> MultiGraph:
 
 
 @cache
-def _graph6_rows(n: int) -> tuple[int, struct.Struct]:
-    """The row stride w of an n-vertex line's adjacency int, and its splitter.
+def _graph6_head(c: str) -> tuple[int, int, list[dict[str, int]], int, struct.Struct]:
+    """What a line's header character c fixes: (n, payload length, layout, w, rows).
 
-    w is the least of 8, 16, 32 and 64 bits that holds n, so row u sits at
-    bit w * u.  The int, written as n * w // 8 little-endian bytes, unpacks
-    through the Struct as n unsigned words, word u being row u.
+    Raises :class:`Graph6Error` for a header no short-form line has, so
+    at most 63 entries are kept (n <= 62).  w is the row stride, the
+    least of 8, 16, 32 and 64 bits that holds n, so row u of the packed
+    adjacency int sits at bit w * u; the int, written as n * w // 8
+    little-endian bytes, unpacks through the Struct ``rows`` as n
+    unsigned words, word u being row u.  The layout holds one table per
+    payload position, empty until read: table pos - 1 maps a character
+    met at byte offset pos to the adjacency bits its six payload bits
+    set, so pair uv sets bits w * u + v and w * v + u.  Only
+    ``_graph6_learn`` writes an entry, and only for a character it
+    accepts, so the tables grow to at most 64 entries each.
     """
+    first = ord(c)
+    if first == 126:
+        raise Graph6Error("long-form graph6 (n > 62) not supported", 0)
+    if not 63 <= first <= 125:
+        raise Graph6Error(f"invalid header byte {first}", 0)
+    n = first - 63
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     w = 8
     while w < n:
         w *= 2
     code = {8: "B", 16: "H", 32: "I", 64: "Q"}[w]
-    return w, struct.Struct(f"<{n}{code}")
+    return n, nbytes, [{} for _ in range(nbytes)], w, struct.Struct(f"<{n}{code}")
 
 
-@cache
-def _graph6_layout(n: int) -> list[dict[str, int]]:
-    """One table per payload position of an n-vertex line, empty until read.
-
-    Table pos - 1 maps a character met at byte offset pos to the
-    adjacency bits its six payload bits set: every row in one int, row u
-    at bit w * u for the stride w of ``_graph6_rows``, so pair uv sets
-    bits w * u + v and w * v + u.  Only
-    ``_graph6_learn`` writes an entry, and only for a character it
-    accepts, so the tables grow to at most 64 entries each, and at most
-    63 layouts exist (n <= 62).
-    """
-    return [{} for _ in range((n * (n - 1) // 2 + 5) // 6)]
-
-
-def _graph6_learn(n: int, s: str) -> None:
-    """Enter every character of payload s missing from the layout of n, in order.
+def _graph6_learn(s: str) -> None:
+    """Enter every payload character of line s missing from its layout, in order.
 
     Raises :class:`Graph6Error` at the first byte no table may hold: a
     byte outside the graph6 range, or padding bits set in the last one.
     Nothing is entered for a refused byte.
     """
+    n, _, layout, w, _ = _graph6_head(s[0])
     nbits = n * (n - 1) // 2
-    w = _graph6_rows(n)[0]
-    for pos, (table, ch) in enumerate(zip(_graph6_layout(n), s), 1):
+    for pos, (table, ch) in enumerate(zip(layout, s[1:]), 1):
         if ch in table:
             continue
         val = ord(ch) - 63
@@ -362,25 +365,17 @@ def _graph6_learn(n: int, s: str) -> None:
         table[ch] = adj
 
 
-def parse_graph6(text: str) -> SimpleGraph:
-    """Decode one short-form graph6 line (n <= 62) into a SimpleGraph.
+def _graph6_masks(s: str) -> tuple[int, tuple[int, ...], int]:
+    """Decode a stripped short-form graph6 line into (n, neighbor masks, m).
 
-    Accepts an optional ``>>graph6<<`` prefix and surrounding ASCII whitespace.
-    Long-form inputs (leading '~') and any byte outside the printable
-    graph6 range raise :class:`Graph6Error` with the byte offset.
+    The one decoder: ``parse_graph6`` wraps its result in a SimpleGraph,
+    and the sweep reads it bare, so that a line it rejects builds no graph.
     """
-    s = text.strip(string.whitespace)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    first = ord(s[0])
-    if first == 126:
-        raise Graph6Error("long-form graph6 (n > 62) not supported", 0)
-    if not 63 <= first <= 125:
-        raise Graph6Error(f"invalid header byte {first}", 0)
-    n = first - 63
-    nbytes = (n * (n - 1) // 2 + 5) // 6
+    n, nbytes, layout, _, rows = _graph6_head(s[0])
     if len(s) - 1 < nbytes:
         raise Graph6Error(
             f"payload too short: need {nbytes} bytes, got {len(s) - 1}", len(s)
@@ -389,19 +384,25 @@ def parse_graph6(text: str) -> SimpleGraph:
         raise Graph6Error(
             f"payload too long: need {nbytes} bytes, got {len(s) - 1}", 1 + nbytes
         )
-    payload = s[1:]
     adj = 0
     try:
-        for table, ch in zip(_graph6_layout(n), payload):
+        for table, ch in zip(layout, s[1:]):
             adj |= table[ch]
     except KeyError:
-        _graph6_learn(n, payload)
+        _graph6_learn(s)
         # the layout now holds every byte of the line
-        return parse_graph6(s)
-    rows = _graph6_rows(n)[1]
-    return SimpleGraph._from_masks(
-        n, rows.unpack(adj.to_bytes(rows.size, "little")), adj.bit_count() // 2
-    )
+        return _graph6_masks(s)
+    return n, rows.unpack(adj.to_bytes(rows.size, "little")), adj.bit_count() // 2
+
+
+def parse_graph6(text: str) -> SimpleGraph:
+    """Decode one short-form graph6 line (n <= 62) into a SimpleGraph.
+
+    Accepts an optional ``>>graph6<<`` prefix and surrounding ASCII whitespace.
+    Long-form inputs (leading '~') and any byte outside the printable
+    graph6 range raise :class:`Graph6Error` with the byte offset.
+    """
+    return SimpleGraph._from_masks(*_graph6_masks(text.strip(string.whitespace)))
 
 
 def emit_graph6(g: SimpleGraph) -> str:

@@ -7,6 +7,10 @@ filters a stream of graph6 lines down to the candidates satisfying
 2m <= kn + k - 2, enumerates every cover in the chosen regime, and
 reports per-graph rows; any critical cover found is a refutation and is
 embedded in the row, then revalidated from its serialized form alone.
+Almost every line is rejected, so the sweep decodes each line to bare
+neighbor masks and tests connectivity, minimum degree and density on
+them; only a line that passes becomes a ``SimpleGraph`` for the clique
+and k-Dirac tests.  ``candidate_filter`` runs the same two steps.
 
 Reports are written as CSV (header always present) or JSON with a fixed
 field order.  All fields except ``seconds`` are deterministic for a
@@ -31,10 +35,11 @@ from .graphs import (
     SimpleGraph,
     _bits,
     _check_int,
+    _graph6_masks,
+    _reach,
     block_shape,
     contains_clique,
     emit_graph6,
-    parse_graph6,
 )
 from .recognize import is_gdp_forest, recognize_dirac
 from .solver import _BoxSearch, is_critical
@@ -95,7 +100,12 @@ REPORT_FIELDS = tuple(f.name for f in fields(DiracReportRow))
 def dirac_deficit(g: SimpleGraph, k: int) -> int:
     """2m - (kn + k - 2): positive when g already satisfies the claimed bound."""
     _check_int("k", k, 0)
-    return 2 * g.m - (k * g.n + k - 2)
+    return _deficit(g.n, g.m, k)
+
+
+def _deficit(n: int, m: int, k: int) -> int:
+    """``dirac_deficit`` of a graph with n vertices and m edges, k unchecked."""
+    return 2 * m - (k * n + k - 2)
 
 
 def candidate_filter(g: SimpleGraph, k: int, include_dirac: bool = False) -> Optional[str]:
@@ -108,12 +118,22 @@ def candidate_filter(g: SimpleGraph, k: int, include_dirac: bool = False) -> Opt
     (the latter kept when ``include_dirac`` is set).
     """
     _check_int("k", k, 3)
-    if not g.is_connected():
+    return _rejection(g.n, g._nbr, g.m, k) or _exclusion(g, k, include_dirac)
+
+
+def _rejection(n: int, nbr: Sequence[int], m: int, k: int) -> Optional[str]:
+    """The first rejection of ``candidate_filter`` that the neighbor masks decide alone."""
+    if n > 1 and _reach(nbr, 1) != (1 << n) - 1:
         return "disconnected"
-    if g.min_degree < k:
+    if min(map(int.bit_count, nbr), default=0) < k:
         return "min degree below k"
-    if dirac_deficit(g, k) > 0:
+    if _deficit(n, m, k) > 0:
         return "2m exceeds kn + k - 2"
+    return None
+
+
+def _exclusion(g: SimpleGraph, k: int, include_dirac: bool) -> Optional[str]:
+    """The excluded family of ``candidate_filter`` that g falls in, if any."""
     if contains_clique(g, k + 1):
         return "contains a clique of size k + 1"
     if not include_dirac and recognize_dirac(g, k) is not None:
@@ -173,14 +193,18 @@ def verify_dirac_bound(cfg: SweepConfig, lines: Iterable[str]) -> list[DiracRepo
             continue
         total += 1
         try:
-            g = parse_graph6(line)
+            n, nbr, m = _graph6_masks(line)
         except Graph6Error as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if g.n > max_n:
+        if n > max_n:
             raise ValueError(
-                f"line {lineno}: graph has {g.n} vertices, above the cap of {max_n}"
+                f"line {lineno}: graph has {n} vertices, above the cap of {max_n}"
             )
-        reason = candidate_filter(g, cfg.k, include_dirac=cfg.include_dirac)
+        # almost every line is rejected on its masks, and builds no graph
+        reason = _rejection(n, nbr, m, cfg.k)
+        if reason is None:
+            g = SimpleGraph._from_masks(n, nbr, m)
+            reason = _exclusion(g, cfg.k, cfg.include_dirac)
         if reason is None:
             is_dirac = cfg.include_dirac and recognize_dirac(g, cfg.k) is not None
             work.append((g, cfg.k, cfg.regime, is_dirac))

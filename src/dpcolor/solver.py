@@ -651,7 +651,7 @@ def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
     if c.base != g:
         raise ValueError("cover base does not match the given graph")
     for u in g.vertices:
-        if c.size(u) < g.degree(u):
+        if c.list_size[u] < g.degree(u):
             raise ValueError(f"list of vertex {u} is smaller than its degree")
 
     coloring = find_coloring(c)
@@ -669,7 +669,7 @@ def color_degree_cover(g: SimpleGraph, c: Cover) -> GDPCertificate:
                 "a clique nor a cycle; solver or decomposition is wrong"
             )
         blocks.append((kind, vs))
-    degree_tight = all(c.size(u) == g.degree(u) for u in g.vertices)
+    degree_tight = all(c.list_size[u] == g.degree(u) for u in g.vertices)
     if not degree_tight:
         raise RuntimeError(
             "uncolorable degree cover with a list strictly larger than a "
@@ -707,7 +707,7 @@ def certificate_is_valid(g: SimpleGraph, c: Cover, cert: GDPCertificate) -> bool
         if p is None or p.dom != frozenset(g.vertices):
             return False
         for v, i in p.items:
-            if not 0 <= i < fresh.size(v):
+            if not 0 <= i < fresh.list_size[v]:
                 return False
         return is_independent(fresh, p)
 
@@ -728,7 +728,7 @@ def certificate_is_valid(g: SimpleGraph, c: Cover, cert: GDPCertificate) -> bool
             return False
     if cert.degree_tight is not True:
         return False
-    if any(fresh.size(u) != g.degree(u) for u in g.vertices):
+    if any(fresh.list_size[u] != g.degree(u) for u in g.vertices):
         return False
     expected_pairs = _saturated_pairs(g, bd.cut_vertices)
     if cert.saturated_pairs is None or tuple(sorted(cert.saturated_pairs)) != expected_pairs:

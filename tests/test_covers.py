@@ -68,6 +68,15 @@ class TestCoverConstruction:
         assert c.list_size == (2, 2, 2, 2)
         assert c.size(3) == 2
 
+    def test_size_rejects_vertex_out_of_range(self):
+        # -1 would otherwise read the last vertex's size, True vertex 1's,
+        # and 1.0 raise TypeError from an index
+        c = Cover(SimpleGraph(3, [(0, 1), (1, 2)]), [1, 2, 3], {})
+        assert [c.size(u) for u in range(3)] == [1, 2, 3]
+        for u in (-1, 3, True, 1.0):
+            with pytest.raises(ValueError, match=re.escape(f"vertex {u!r} out of range for n=3")):
+                c.size(u)
+
     def test_non_uniform_k_is_none(self):
         c = Cover(SimpleGraph(2, [(0, 1)]), [2, 3], {})
         assert c.k is None

@@ -20,7 +20,7 @@ from dpcolor import (
     is_gdp_forest,
     parse_graph6,
 )
-from dpcolor.graphs import _first_clique, _graph6_layout, block_shape
+from dpcolor.graphs import _first_clique, _graph6_head, block_shape
 from dpcolor.construct import make_dirac, make_wheel
 
 from helpers import (
@@ -342,7 +342,7 @@ class TestGraph6:
                 assert refused == graph6_outcome(reference_parse_graph6, line)
                 assert isinstance(refused[0], str), line
                 offset = refused[1]
-                assert line[offset] not in _graph6_layout(n)[offset - 1]
+                assert line[offset] not in _graph6_head(line[0])[2][offset - 1]
                 s = rng.choice(list(good))
                 assert parse_graph6(s) == good[s]
 

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import re
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -13,10 +14,13 @@ import pytest
 import dpcolor.harness
 from dpcolor import (
     Cover,
+    Graph6Error,
     SimpleGraph,
     cover_from_lists,
     cover_to_json_text,
     emit_graph6,
+    parse_graph6,
+    recognize_dirac,
 )
 from dpcolor.construct import (
     make_c4_covers,
@@ -32,7 +36,6 @@ from dpcolor.harness import (
     candidate_filter,
     dirac_deficit,
     emit_report,
-    parse_graph6,
     parse_report_csv,
     revalidate_row,
     verify_critical_structure,
@@ -183,8 +186,9 @@ class TestVerifyDiracBound:
 
     def test_size_cap_names_the_line(self):
         cfg = SweepConfig(k=3, max_n=5)
-        with pytest.raises(ValueError, match="line 2.*above the cap"):
+        with pytest.raises(ValueError) as swept:
             verify_dirac_bound(cfg, [W4_G6, emit_graph6(prism())])
+        assert str(swept.value) == "line 2: graph has 6 vertices, above the cap of 5"
 
     def test_empty_stream(self):
         assert verify_dirac_bound(SweepConfig(k=3), []) == []
@@ -254,6 +258,95 @@ def test_criterion06_rows_match_the_golden_file(include_dirac):
         got = dataclasses.asdict(row)
         assert got.pop("seconds") >= 0.0
         assert got == want
+
+
+SUMMARY = re.compile(r"k=\d+ regime=\w+: \d+ graphs read, .*")
+
+
+def sweep_summary(caplog, cfg, lines):
+    """The rows of a sweep over lines and the one summary line it logs."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="dpcolor.harness"):
+        rows = verify_dirac_bound(cfg, lines)
+    said = [r.getMessage() for r in caplog.records if SUMMARY.fullmatch(r.getMessage())]
+    assert len(said) == 1, said
+    return rows, said[0]
+
+
+# two disjoint triangles fail both the connectivity and the degree test,
+# and must be counted as disconnected, the first reason in order
+HAND_LINES = [
+    emit_graph6(SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+    "C~",
+    "F{cZG",
+    f"\t >>graph6<<{W4_G6} \r\n",
+    "",
+    "   ",
+    "\n",
+]
+
+
+@pytest.mark.parametrize("include_dirac", [False, True], ids=["exclude_dirac", "include_dirac"])
+@pytest.mark.parametrize("source", ["criterion06", "hand"])
+def test_sweep_agrees_with_the_filter_line_by_line(caplog, source, include_dirac):
+    # the oracle decodes every line into a graph and runs the public filter on it
+    lines = STREAM.read_text().split("\n") if source == "criterion06" else HAND_LINES
+    graphs = [parse_graph6(line) for line in lines if line.strip()]
+    verdicts = [candidate_filter(g, 3, include_dirac) for g in graphs]
+    counts = Counter(verdicts)
+    rejected = dict(sorted((r, c) for r, c in counts.items() if r is not None)) or "none"
+    cfg = SweepConfig(k=3, include_dirac=include_dirac)
+    rows, summary = sweep_summary(caplog, cfg, lines)
+    assert summary == (
+        f"k=3 regime=perfect: {len(graphs)} graphs read, {counts[None]} accepted, "
+        f"rejected: {rejected}"
+    )
+    accepted = [g for g, why in zip(graphs, verdicts) if why is None]
+    assert [r.graph6 for r in rows] == [emit_graph6(g) for g in accepted]
+    assert [r.is_dirac for r in rows] == [
+        include_dirac and recognize_dirac(g, 3) is not None for g in accepted
+    ]
+    if source == "hand":
+        assert verdicts[:3] == [
+            "disconnected",
+            "contains a clique of size k + 1",
+            None if include_dirac else "k-Dirac graph",
+        ]
+
+
+@pytest.mark.parametrize(
+    "include_dirac, summary",
+    [
+        (
+            False,
+            "k=3 regime=perfect: 991 graphs read, 11 accepted, rejected: "
+            "{'2m exceeds kn + k - 2': 165, 'k-Dirac graph': 1, 'min degree below k': 814}",
+        ),
+        (
+            True,
+            "k=3 regime=perfect: 991 graphs read, 12 accepted, rejected: "
+            "{'2m exceeds kn + k - 2': 165, 'min degree below k': 814}",
+        ),
+    ],
+    ids=["exclude_dirac", "include_dirac"],
+)
+def test_criterion06_summary_is_pinned(caplog, include_dirac, summary):
+    cfg = SweepConfig(k=3, include_dirac=include_dirac)
+    assert sweep_summary(caplog, cfg, STREAM.read_text().split("\n"))[1] == summary
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [">>graph6<<", "~??", "!", "D|", "D|s?", "D|\x7f", "Dl|"],
+    ids=["empty-after-prefix", "long-form", "header-range", "short", "long", "byte-127", "padding"],
+)
+def test_sweep_names_the_line_of_each_decode_error(bad):
+    with pytest.raises(Graph6Error) as parsed:
+        parse_graph6(bad)
+    # blank lines count in the numbering
+    with pytest.raises(ValueError) as swept:
+        verify_dirac_bound(SweepConfig(k=3), [W4_G6, "", bad])
+    assert str(swept.value) == f"line 3: {parsed.value}"
 
 
 @pytest.fixture(scope="module")
