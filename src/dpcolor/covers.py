@@ -177,9 +177,12 @@ class Cover:
         for key, value in matchings.items():
             try:
                 u, v = key
-                e = (u, v) if u < v else (v, u)
             except (TypeError, ValueError):
-                raise ValueError(f"matching key {key!r} is not a vertex pair") from None
+                u = v = None
+            # 0.0 and False would pass as vertex 0 in the pair lookup below
+            if not (is_json_int(u) and is_json_int(v)):
+                raise ValueError(f"matching key {key!r} is not a vertex pair")
+            e = (u, v) if u < v else (v, u)
             if e not in mult:
                 raise ValueError(f"matching key {key!r} is not an edge of the base graph")
             if e in given:
@@ -366,16 +369,24 @@ def cover_from_lists(g: BaseGraph, lists: Sequence[Sequence[object]]) -> Cover:
 
     Color i of vertex u stands for sorted(lists[u])[i]; adjacent lists are
     matched on shared colors.  Colorings of the result are exactly the
-    proper list-colorings of ``g`` from ``lists``.
+    proper list-colorings of ``g`` from ``lists``.  The colors of a list
+    must be hashable and compare; malformed lists raise ValueError.
     """
-    if len(lists) != g.n:
-        raise ValueError(f"got {len(lists)} lists for {g.n} vertices")
+    try:
+        count = len(lists)
+    except TypeError:
+        raise ValueError(f"lists must be a sequence of lists, got {lists!r}") from None
+    if count != g.n:
+        raise ValueError(f"got {count} lists for {g.n} vertices")
     sorted_lists = []
     for u, lst in enumerate(lists):
-        values = list(lst)
-        if len(set(values)) != len(values):
-            raise ValueError(f"list of vertex {u} has repeated colors")
-        sorted_lists.append(sorted(values))  # type: ignore[type-var]
+        try:
+            values = list(lst)
+            if len(set(values)) != len(values):
+                raise ValueError(f"list of vertex {u} has repeated colors")
+            sorted_lists.append(sorted(values))  # type: ignore[type-var]
+        except TypeError:
+            raise ValueError(f"list of vertex {u} is not a list of colors, got {lst!r}") from None
     index = [{c: i for i, c in enumerate(lst)} for lst in sorted_lists]
 
     def shared(u: int, v: int) -> Matching:

@@ -140,8 +140,11 @@ def find_brick(
     qualifying pairs (``_first_clique``) and the least r-cycle of the ring
     pairs (``_first_cycle``) are sought; the lexicographically least
     sorted vertex set wins, and a set that is both is a clique.
+    ``allow_submultiplicity`` must be a bool.
     """
     _check_int("k", k, 3)
+    if type(allow_submultiplicity) is not bool:
+        raise ValueError(f"allow_submultiplicity must be a bool, got {allow_submultiplicity!r}")
 
     def pairs_for(t: int) -> list[int]:
         # per vertex, the mask of the pairs a brick of multiplicity t may use

@@ -58,18 +58,21 @@ coloring, or no edge can be spared, is the search run on the shared
 tables.  Before the union search, a color whose union row toward some
 neighbor is full is dropped, and a box where a vertex has no color left
 skips it.  Both table sets of a box come from one load, which patches
-them together on the edges whose domain changed since the last box and
-reads the live colors afresh off the rows of the edges it walks.
-Only an edge with more than one option can change, or hold a killer,
-so the load and the split walk those edges alone: in the perfect
-regime, the edges off the pinned spanning tree.
+them together where the rows loaded at an edge are not those of its
+domain, and reads the live colors afresh off the rows of the edges it
+walks.  Only an edge with more than one option can change, or hold a
+killer, so a box search keeps one record per such edge, and the load
+and the split walk those alone: in the perfect regime, the edges off
+the pinned spanning tree.
 
 An edge's rows on a domain depend on nothing but its option list and
 the domain, so they are built once per process and shared by every box
 search with those options, as are the option masks they are built
 from.  The tables hold one (k, regime) at a time: a box search at
 another (k, regime) replaces them, so only the current option lists
-stay resident.  No row is written after it is built.
+stay resident.  No row is written after it is built, and a domain's
+rows are built once, so the rows loaded at an edge say which domain it
+holds: the tables are the one record of what is loaded.
 """
 
 from __future__ import annotations
@@ -282,6 +285,43 @@ _EdgeRows = tuple[_Rows, Optional[_Rows], int, int]
 _option_tables: dict[tuple[int, str], dict[tuple, tuple[list[int], dict[int, _EdgeRows]]]] = {}
 
 
+def _edge_rows(k: int, holds: list[int], rows: dict[int, _EdgeRows], dom: int) -> _EdgeRows:
+    """An edge's shared rows on a domain, and its union rows with the colors they leave live.
+
+    ``holds`` and ``rows`` are the edge's option list's entry in
+    ``_option_tables``.  An edge with one option, or whose options
+    together match all k * k pairs, cannot be spared; its union rows are
+    None and it leaves every color live.  One pass over ``holds`` builds
+    all of them, once per (options, domain) in the process: they are kept
+    in ``rows``, and later calls, from any edge or search with these
+    options, return the same rows.
+    """
+    memo = rows.get(dom)
+    if memo is not None:
+        return memo
+    full = (1 << k) - 1
+    fwd, bwd = [0] * k, [0] * k
+    some_fwd, some_bwd = [0] * k, [0] * k
+    for x, opts in enumerate(holds):
+        opts &= dom
+        if opts:
+            i, j = divmod(x, k)
+            some_fwd[i] |= 1 << j
+            some_bwd[j] |= 1 << i
+            if opts == dom:
+                fwd[i] |= 1 << j
+                bwd[j] |= 1 << i
+    # a color whose union row is full conflicts with every color across the edge
+    live_u = sum(1 << i for i, row in enumerate(some_fwd) if row != full)
+    live_v = sum(1 << j for j, row in enumerate(some_bwd) if row != full)
+    if dom & (dom - 1) == 0 or not live_u:
+        memo = ((fwd, bwd), None, full, full)
+    else:
+        memo = ((fwd, bwd), (some_fwd, some_bwd), live_u, live_v)
+    rows[dom] = memo
+    return memo
+
+
 class _BoxSearch:
     """The covers of one graph, split into boxes that one search decides each.
 
@@ -305,13 +345,14 @@ class _BoxSearch:
     options finds them; no search writes into them.  Both table sets are
     neighbor lists, built in edge order with the instance, so each
     ascends as a ``Cover``'s does; after that ``load`` is the one writer
-    of both.  It keeps the domain each edge holds in them and the
-    rows it was loaded with, rewrites both sets only on the edges whose
-    domain changed, usually one or two, at the fixed place each holds in
-    its endpoints' lists, and reads the live colors afresh off the loaded
-    rows.  ``load`` and the split walk only the edges with more than one
-    option, since an edge with one option keeps its one domain, holds no
-    killer and is never spared.  Boxes keep an entry for every edge.
+    of both.  Each edge with more than one option has one record,
+    ``(p, u, v, at_u, at_v, holds, rows)``: its index, its ends, the
+    fixed places it holds in their lists, and its option list's entry in
+    ``_option_tables``.  ``load`` and the split walk the records alone,
+    since an edge with one option keeps its one domain, holds no killer
+    and is never spared; ``load`` rewrites both sets only on the records
+    whose loaded rows are not those of their domain, usually one or two.
+    Boxes keep an entry for every edge.
 
     The instance counts the boxes it decides, the uncolorable ones among
     them, the spared ones, whose phi came from the union tables, and the
@@ -330,17 +371,20 @@ class _BoxSearch:
         # picking option d at edge p adds d * weights[p] to a cover's rank
         sizes = [len(options) for _, options in self.choices]
         self.weights = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
-        # holds[p][i * k + j]: the options of edge p matching color i of u to
-        # color j of v; _built[p]: the edge rows built on them, per domain; both
-        # from _option_tables, where each option list is looked up once
+        # each option list is looked up once in _option_tables: its holds,
+        # holds[i * k + j] the options matching color i of u to color j of v,
+        # and the edge rows built on them, per domain
         tables = _option_tables.get((k, regime))
         if tables is None:
             _option_tables.clear()
             tables = _option_tables[k, regime] = {}
         looked_up: dict[int, tuple[list[int], dict[int, _EdgeRows]]] = {}
-        self.holds: list[list[int]] = []
-        self._built: list[dict[int, _EdgeRows]] = []
-        for _, options in self.choices:
+        # the shared and the union table sets as neighbor lists, and the
+        # records of the edges with more than one option
+        self.conf: Adjacency = [[] for _ in range(g.n)]
+        self.union: Adjacency = [[] for _ in range(g.n)]
+        self._free: list[tuple[int, int, int, int, int, list[int], dict[int, _EdgeRows]]] = []
+        for p, ((u, v), options) in enumerate(self.choices):
             entry = looked_up.get(id(options))
             if entry is None:
                 entry = tables.get(options)
@@ -351,21 +395,10 @@ class _BoxSearch:
                             masks[i * k + j] |= 1 << d
                     entry = tables[options] = (masks, {})
                 looked_up[id(options)] = entry
-            self.holds.append(entry[0])
-            self._built.append(entry[1])
-        # the shared and the union table sets as neighbor lists, the domain
-        # each edge holds in both, and the rows it was loaded with
-        self.conf: Adjacency = [[] for _ in range(g.n)]
-        self.union: Adjacency = [[] for _ in range(g.n)]
-        self._held = [(1 << len(options)) - 1 for _, options in self.choices]
-        self._loaded = [self._edge_rows(p, dom) for p, dom in enumerate(self._held)]
-        # the edges with more than one option and their places in their ends'
-        # lists: no other edge's domain changes, holds a killer or is spared
-        self._free: list[tuple[int, int, int, int, int]] = []
-        for p, ((u, v), options) in enumerate(self.choices):
+            holds, rows = entry
             if len(options) > 1:
-                self._free.append((p, u, v, len(self.conf[u]), len(self.conf[v])))
-            shared, spare, _, _ = self._loaded[p]
+                self._free.append((p, u, v, len(self.conf[u]), len(self.conf[v]), holds, rows))
+            shared, spare, _, _ = _edge_rows(k, holds, rows, (1 << len(options)) - 1)
             (fwd, bwd), (spare_fwd, spare_bwd) = shared, spare or shared
             self.conf[u].append((v, fwd))
             self.conf[v].append((u, bwd))
@@ -378,69 +411,31 @@ class _BoxSearch:
         The shared tables hold the pairs each edge's whole domain shares.
         In the union tables an edge that can be spared gets the pairs some
         option in its domain matches, and the others keep their shared
-        pairs.  One pass over the edges with more than one option, the
-        only ones whose domain can change, patches both sets in place on
-        the edges whose domain changed since the last load, and reads
-        each vertex's live colors in the union tables afresh off every
-        such edge's rows: a color of u is live unless a union row rules
-        out every color of a neighbor with it.  Returns them as a fresh
-        list the search may consume; None when no edge can be spared, or
-        when some vertex has no live color, so that the union tables have
-        no coloring.
+        pairs.  One pass over the records, the only edges whose domain can
+        change, takes each edge's rows on its domain from the record and
+        patches both sets in place where other rows are loaded: a domain's
+        rows are built once and never written, so the rows loaded at an
+        edge say which domain it holds.  The pass reads each vertex's live
+        colors in the union tables afresh off every record's rows: a color
+        of u is live unless a union row rules out every color of a neighbor
+        with it.  Returns them as a fresh list the search may consume; None
+        when no edge can be spared, or when some vertex has no live color,
+        so that the union tables have no coloring.
         """
-        conf, union, held, loaded = self.conf, self.union, self._held, self._loaded
-        live = [(1 << self.k) - 1] * len(conf)
+        k, conf, union = self.k, self.conf, self.union
+        live = [(1 << k) - 1] * len(conf)
         spared = False
-        for p, u, v, at_u, at_v in self._free:
-            dom = box[p]
-            if held[p] != dom:
-                held[p] = dom
-                loaded[p] = shared, spare, live_u, live_v = self._edge_rows(p, dom)
+        for p, u, v, at_u, at_v, holds, rows in self._free:
+            shared, spare, live_u, live_v = rows.get(box[p]) or _edge_rows(k, holds, rows, box[p])
+            if conf[u][at_u][1] is not shared[0]:
                 (fwd, bwd), (spare_fwd, spare_bwd) = shared, spare or shared
                 conf[u][at_u], conf[v][at_v] = (v, fwd), (u, bwd)
                 union[u][at_u], union[v][at_v] = (v, spare_fwd), (u, spare_bwd)
-            else:
-                _, spare, live_u, live_v = loaded[p]
             if spare is not None:
                 spared = True
                 live[u] &= live_u
                 live[v] &= live_v
         return live if spared and all(live) else None
-
-    def _edge_rows(self, p: int, dom: int) -> _EdgeRows:
-        """Edge p's shared rows on a domain, and its union rows with the colors they leave live.
-
-        An edge with one option, or whose options together match all
-        k * k pairs, cannot be spared; its union rows are None and it
-        leaves every color live.  One pass over ``holds[p]`` builds all
-        of them, once per (options, domain) in the process: later calls,
-        from this search or another, return the same rows.
-        """
-        memo = self._built[p].get(dom)
-        if memo is not None:
-            return memo
-        k, holds = self.k, self.holds[p]
-        full = (1 << k) - 1
-        fwd, bwd = [0] * k, [0] * k
-        some_fwd, some_bwd = [0] * k, [0] * k
-        for x, opts in enumerate(holds):
-            opts &= dom
-            if opts:
-                i, j = divmod(x, k)
-                some_fwd[i] |= 1 << j
-                some_bwd[j] |= 1 << i
-                if opts == dom:
-                    fwd[i] |= 1 << j
-                    bwd[j] |= 1 << i
-        # a color whose union row is full conflicts with every color across the edge
-        live_u = sum(1 << i for i, row in enumerate(some_fwd) if row != full)
-        live_v = sum(1 << j for j, row in enumerate(some_bwd) if row != full)
-        if dom & (dom - 1) == 0 or not live_u:
-            memo = ((fwd, bwd), None, full, full)
-        else:
-            memo = ((fwd, bwd), (some_fwd, some_bwd), live_u, live_v)
-        self._built[p][dom] = memo
-        return memo
 
     def __iter__(self) -> Iterator[tuple[list[int], Optional[dict[int, int]]]]:
         """Each decided box with a coloring of all its covers, or None if none has one."""
@@ -464,8 +459,8 @@ class _BoxSearch:
                 yield box, None
                 continue
             children = []
-            for p, u, v, _, _ in self._free:
-                kill = box[p] & self.holds[p][phi[u] * k + phi[v]]
+            for p, u, v, _, _, holds, _ in self._free:
+                kill = box[p] & holds[phi[u] * k + phi[v]]
                 if kill:
                     child = list(box)
                     child[p] = kill

@@ -32,6 +32,7 @@ from dpcolor import (
     SimpleGraph,
     clique_number,
     cover_choices,
+    cover_from_lists,
     residual_list,
 )
 from dpcolor.covers import EdgeChoices, Matching
@@ -43,6 +44,19 @@ from dpcolor.solver import _search, is_critical
 # conf[u][v][i]: bitmask of the colors of v matched to color i of u; the dict
 # form of a cover's tables that the oracles here build
 ConflictTables = list[dict[int, list[int]]]
+
+
+def cycle(n: int) -> SimpleGraph:
+    return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete(n: int) -> SimpleGraph:
+    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def identity_cover(g: SimpleGraph, k: int) -> Cover:
+    """The cover of the lists [0, k) at every vertex: equal colors matched."""
+    return cover_from_lists(g, [list(range(k))] * g.n)
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:

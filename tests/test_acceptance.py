@@ -45,9 +45,12 @@ from dpcolor.graphs import emit_graph6
 from helpers import (
     atlas_connected,
     brute_force_colorings,
+    complete,
     connected_cubic_8,
     connected_gdp_trees,
+    cycle,
     from_nx,
+    identity_cover,
     random_connected_graph,
     random_cover,
 )
@@ -65,18 +68,6 @@ def criterion(number, title, budget=None):
     if budget is not None:
         assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s, budget {budget}s"
     print(f"criterion {number:02d} PASS: {title} ({elapsed:.2f}s)")
-
-
-def cycle(n):
-    return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def identity_cover(g, k):
-    return cover_from_lists(g, [list(range(k))] * g.n)
 
 
 def test_criterion_01_cycle_thresholds():

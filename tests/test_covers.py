@@ -43,6 +43,7 @@ from helpers import (
     atlas_connected,
     brute_force_colorings,
     from_nx,
+    identity_cover,
     matched_pairs,
     random_connected_graph,
     random_cover,
@@ -55,10 +56,8 @@ C4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
 K2 = SimpleGraph(2, [(0, 1)])
 M2 = MultiGraph(2, [(0, 1, 2)])
-
-
-def identity_cover(g, k):
-    return cover_from_lists(g, [list(range(k))] * g.n)
+# matching keys of the pair (0, 1) whose vertices equal ints but are not ints
+NON_INT_KEYS = [(0.0, 1), (1, 0.0), (False, 1), (True, 0)]
 
 
 class TestCoverConstruction:
@@ -141,6 +140,8 @@ class TestCoverConstruction:
             (SimpleGraph(2, [(0, 1)]), {(0, 1, 2): [(0, 1)]}),
             (MultiGraph(2, [(0, 1, 2)]), {(0, 1): 5}),
             (MultiGraph(2, [(0, 1, 2)]), {(0, 1): [[(0, 0)], [1]]}),
+            *[(SimpleGraph(2, [(0, 1)]), {key: [(0, 1)]}) for key in NON_INT_KEYS],
+            *[(MultiGraph(2, [(0, 1, 2)]), {key: [[(0, 0)], [(1, 1)]]}) for key in NON_INT_KEYS],
         ],
     )
     def test_malformed_matchings_raise_value_error(self, base, matchings):
@@ -412,6 +413,20 @@ class TestCoverFromLists:
     def test_wrong_number_of_lists_rejected(self):
         with pytest.raises(ValueError, match="got 1 lists for 2 vertices"):
             cover_from_lists(K2, [[0, 1]])
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            (5, "lists must be a sequence of lists, got 5"),
+            ([[0, 1], [[1]]], "list of vertex 1 is not a list of colors, got [[1]]"),
+            ([[0, "a"], [0]], "list of vertex 0 is not a list of colors, got [0, 'a']"),
+            ([[0, 1], 7], "list of vertex 1 is not a list of colors, got 7"),
+        ],
+        ids=["not-a-sequence", "unhashable-color", "colors-do-not-compare", "not-a-list"],
+    )
+    def test_malformed_lists_rejected(self, lists, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cover_from_lists(K2, lists)
 
     def test_identity_lists_make_identity_matchings(self):
         c = identity_cover(K3, 3)

@@ -44,11 +44,7 @@ from dpcolor.harness import (
 from dpcolor.solver import _BoxSearch
 
 import helpers
-from helpers import atlas_graphs, random_multigraph, reference_verify_critical_structure
-
-
-def complete(n):
-    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+from helpers import atlas_graphs, complete, random_multigraph, reference_verify_critical_structure
 
 
 def prism():

@@ -41,7 +41,7 @@ from dpcolor import (
 )
 from dpcolor.construct import make_c4_covers, make_dirac
 from dpcolor.covers import _bits
-from dpcolor.solver import _BoxSearch
+from dpcolor.solver import _BoxSearch, _edge_rows
 
 from helpers import (
     atlas_connected,
@@ -661,21 +661,22 @@ def test_cold_and_warm_tables_give_the_pinned_counters(cold_tables):
 def test_searches_at_one_k_and_regime_share_their_tables(cold_tables):
     a = _BoxSearch(parse_graph6("Dl{"), 3, "perfect")
     b = _BoxSearch(parse_graph6("FBjN_"), 3, "perfect")
-    full = list(a._loaded)
+    # the shared rows a loaded on its full domains, one per record
+    full = [a.conf[u][at_u][1] for _, u, _, at_u, _, _, _ in a._free]
     for _ in a:
         pass
     shared = 0
-    for p, (_, options) in enumerate(a.choices):
-        for q, (_, others) in enumerate(b.choices):
-            if options != others:
-                assert a.holds[p] is not b.holds[q]
+    for (p, _, _, _, _, holds, rows), loaded in zip(a._free, full):
+        for q, u, _, at_u, _, others_holds, others_rows in b._free:
+            if a.choices[p][1] != b.choices[q][1]:
+                assert holds is not others_holds
                 continue
             # b finds every row a built, and builds none of its own for them
-            assert a.holds[p] is b.holds[q]
-            assert a._built[p] is b._built[q]
-            assert full[p] is b._loaded[q]
-            for dom, rows in a._built[p].items():
-                assert b._edge_rows(q, dom) is rows
+            assert holds is others_holds
+            assert rows is others_rows
+            assert loaded is b.conf[u][at_u][1]
+            for dom, built in rows.items():
+                assert _edge_rows(3, others_holds, others_rows, dom) is built
             shared += 1
     assert shared > 0
     # the identity and the permutations of [3]

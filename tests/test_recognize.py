@@ -23,7 +23,9 @@ from dpcolor.construct import make_dirac, make_multigraph_counterexample
 from helpers import (
     atlas_connected,
     atlas_graphs,
+    complete,
     connected_gdp_trees,
+    cycle,
     dirac_witness_holds,
     from_nx,
     nx_is_gallai_forest,
@@ -33,14 +35,6 @@ from helpers import (
     reference_is_gdp_forest,
     to_nx,
 )
-
-
-def cycle(n):
-    return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 class TestForestRecognizers:
@@ -266,6 +260,14 @@ class TestFindBrick:
         g = MultiGraph(3, [(0, 1, 3), (1, 2, 2), (0, 2, 2)])
         assert find_brick(g, 4) is not None
         assert find_brick(g, 4, allow_submultiplicity=False) is None
+
+    def test_refuses_a_non_bool_allow_submultiplicity(self):
+        # "no" and 1.0 answered the containment brick, 0 and None the exact search
+        g = MultiGraph(3, [(0, 1, 3), (1, 2, 2), (0, 2, 2)])
+        for flag in ("no", 1.0, 0, None):
+            message = f"allow_submultiplicity must be a bool, got {flag!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                find_brick(g, 4, allow_submultiplicity=flag)
 
     def test_exact_mode_needs_clean_induced_brick(self):
         clean = MultiGraph(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])

@@ -35,21 +35,15 @@ from helpers import (
     atlas_connected,
     brute_force_colorings,
     brute_force_k_colorable,
+    cycle,
     from_nx,
+    identity_cover,
     random_connected_graph,
     random_cover,
     reference_kind_certifies,
 )
 
 C4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-
-
-def cycle(n):
-    return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def identity_cover(g, k):
-    return cover_from_lists(g, [list(range(k))] * g.n)
 
 
 class TestFindColoring:
